@@ -56,4 +56,4 @@ for t in np.geomspace(delta, T, 11):
 
 print()
 print(f"every relative error stays below the certified total {est.total:.3e} "
-      "(up to a small calibration constant)")
+      "(up to a small constant)")

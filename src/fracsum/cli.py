@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 infeasible kernel tolerance,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -44,8 +45,6 @@ _SOLVER_EXIT = 4
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -88,8 +87,7 @@ def _pick_parameters(args) -> tuple[int, int]:
         raise SystemExit(_usage("--K and --J must be given together"))
     if args.eps is None:
         raise SystemExit(_usage("give --K/--J or --eps"))
-    return select_parameters(args.alpha, args.delta, args.T, args.eps,
-                             args.calibration)
+    return select_parameters(args.alpha, args.delta, args.T, args.eps)
 
 
 def _usage(message: str) -> int:
@@ -97,8 +95,8 @@ def _usage(message: str) -> int:
     return _USAGE_EXIT
 
 
-def _estimator_lines(alpha, delta, T, K, J, calibration) -> list[str]:
-    est = estimate_error(alpha, delta, T, K, J, calibration)
+def _estimator_lines(alpha, delta, T, K, J) -> list[str]:
+    est = estimate_error(alpha, delta, T, K, J)
     return [
         f"# A_J {est.a_j:.17g}",
         f"# B_K {est.b_k:.17g}",
@@ -110,7 +108,7 @@ def _cmd_compress(args) -> int:
     K, J = _pick_parameters(args)
     S = compress(args.alpha, args.delta, args.T, K, J)
     lines = _header("compress", args)
-    lines += _estimator_lines(args.alpha, args.delta, args.T, K, J, args.calibration)
+    lines += _estimator_lines(args.alpha, args.delta, args.T, K, J)
     lines += dump_terms(S).rstrip("\n").split("\n")
     _write(_resolve_output(args.output), lines)
     return 0
@@ -121,7 +119,7 @@ def _cmd_scan(args) -> int:
     S = compress(args.alpha, args.delta, args.T, K, J)
     max_err, curve = relative_error_scan(S)
     lines = _header("scan", args)
-    lines += _estimator_lines(args.alpha, args.delta, args.T, K, J, args.calibration)
+    lines += _estimator_lines(args.alpha, args.delta, args.T, K, J)
     lines.append(f"# K {K}")
     lines.append(f"# J {J}")
     lines.append(f"# M {max_err:.17g}")
@@ -137,9 +135,7 @@ def _cmd_scan(args) -> int:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(h=args.h, eps_kernel=args.eps,
                         newton_tol=args.newton_tol,
-                        newton_max_iter=args.newton_max_iter,
-                        calibration=args.calibration,
-                        paper_literal=args.paper_literal)
+                        newton_max_iter=args.newton_max_iter)
 
 
 def _cmd_solve_mlf(args) -> int:
@@ -178,11 +174,7 @@ def _cmd_solve_vdp(args) -> int:
     out = _resolve_output(args.output)
     _write(out, lines)
 
-    halved = SolverConfig(h=config.h / 2.0, eps_kernel=config.eps_kernel,
-                          newton_tol=config.newton_tol,
-                          newton_max_iter=config.newton_max_iter,
-                          calibration=config.calibration,
-                          paper_literal=config.paper_literal)
+    halved = dataclasses.replace(config, h=config.h / 2.0)
     fine = solve(problem, halved)
     shared = min(len(traj.times), (len(fine.times) + 1) // 2)
     diff = np.abs(traj.states[:shared] - fine.states[: 2 * shared : 2])
@@ -227,8 +219,7 @@ def _cmd_sweep(args) -> int:
     for delta in deltas:
         for K in Ks:
             for J in Js:
-                est = estimate_error(args.alpha, delta, args.T, K, J,
-                                     args.calibration)
+                est = estimate_error(args.alpha, delta, args.T, K, J)
                 S = compress(args.alpha, delta, args.T, K, J)
                 max_err, _ = relative_error_scan(S)
                 lines.append(
@@ -248,8 +239,6 @@ def _add_kernel_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--J", type=int, default=None, help="nodes per interval")
     sub.add_argument("--eps", type=float, default=None,
                      help="target relative tolerance (alternative to --K/--J)")
-    sub.add_argument("--calibration", type=float, default=1.0,
-                     help="constant multiplying the quadrature estimator")
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
@@ -257,13 +246,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--T", type=float, required=True, help="horizon")
     sub.add_argument("--h", type=float, required=True, help="step size")
     sub.add_argument("--eps", type=float, default=1e-10, help="kernel tolerance")
-    sub.add_argument("--calibration", type=float, default=1.0)
     sub.add_argument("--newton-tol", type=float, default=1e-12)
     sub.add_argument("--newton-max-iter", type=int, default=25)
-    sub.add_argument("--paper-literal", action="store_true",
-                     help="use the update formulas exactly as printed in the "
-                          "source scheme (no constant term, no step factor on "
-                          "the auxiliary forcing); for comparison only")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--K-values", required=True,
                      help="comma list and/or lo:hi ranges, e.g. 0:24")
     sub.add_argument("--J-values", required=True, help="same syntax as --K-values")
-    sub.add_argument("--calibration", type=float, default=1.0)
     sub.add_argument("--output", "-o", required=True)
     sub.set_defaults(func=_cmd_sweep)
     return parser

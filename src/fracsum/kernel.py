@@ -86,7 +86,7 @@ class ExponentialSum:
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Certificate components and their calibrated total."""
+    """Certificate components and their sum."""
 
     a_j: float
     b_k: float
@@ -197,9 +197,9 @@ def eval_sum(S: ExponentialSum, t: float) -> float:
     return math.fsum(S.b * np.exp(-S.a * t))
 
 
-def quadrature_term(J: int, calibration: float = 1.0) -> float:
-    """Per-interval quadrature estimator: calibration * J (3+sqrt 8)^(-2J)."""
-    return calibration * J * _RHO2 ** (-J)
+def quadrature_term(J: int) -> float:
+    """Per-interval quadrature estimator: J (3+sqrt 8)^(-2J)."""
+    return J * _RHO2 ** (-J)
 
 
 def truncation_term(alpha: float, eta: float, K: int) -> float:
@@ -207,13 +207,12 @@ def truncation_term(alpha: float, eta: float, K: int) -> float:
     return regularized_upper_gamma(1.0 - alpha, eta * 2.0 ** K)
 
 
-def estimate_error(alpha: float, delta: float, T: float, K: int, J: int,
-                   calibration: float = 1.0) -> ErrorEstimate:
+def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> ErrorEstimate:
     """Relative-error certificate for the compressed kernel on [delta, T].
 
-    total = calibration * A_J + B_K.  The theory's constant in front of A_J is
-    not pinned down; calibration defaults to 1, which matches measurements to
-    within a factor of a few (the acceptance band uses 10).
+    total = A_J + B_K.  The theory leaves the constant in front of A_J open;
+    with it set to 1, measured errors stay within a factor of a few of total
+    (the acceptance band uses 10).
     """
     _validate_compress_args(alpha, delta, T, K, J)
     if not 0 <= K <= MAX_INTERVAL_INDEX:
@@ -221,14 +220,14 @@ def estimate_error(alpha: float, delta: float, T: float, K: int, J: int,
     eta = float(delta) / float(T)
     a_j = quadrature_term(int(J))
     b_k = truncation_term(float(alpha), eta, int(K))
-    return ErrorEstimate(a_j=a_j, b_k=b_k, eta=eta, total=calibration * a_j + b_k)
+    return ErrorEstimate(a_j=a_j, b_k=b_k, eta=eta, total=a_j + b_k)
 
 
-def select_parameters(alpha: float, delta: float, T: float, eps: float,
-                      calibration: float = 1.0) -> tuple[int, int]:
+def select_parameters(alpha: float, delta: float, T: float, eps: float) -> tuple[int, int]:
     """Smallest (K, J) whose estimator halves each stay within eps/2.
 
-    Raises InfeasibleToleranceError when no J <= 64 or K <= 200 suffices.
+    Raises InfeasibleToleranceError when no K <= 200 suffices, which happens
+    only for a tiny delta/T.
     """
     if not 1e-14 <= eps <= 0.5:
         raise ValueError(f"tolerance must lie in [1e-14, 0.5], got {eps}")
@@ -237,13 +236,8 @@ def select_parameters(alpha: float, delta: float, T: float, eps: float,
     if not 0.0 < delta < T:
         raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
     target = eps / 2.0
-    for J in range(1, MAX_NODES + 1):
-        if quadrature_term(J, calibration) <= target:
-            break
-    else:
-        raise InfeasibleToleranceError(
-            f"no J <= {MAX_NODES} reaches the quadrature target {target:.3e}"
-        )
+    # eps >= 1e-14 makes the target >= 5e-15, which J = 10 already meets
+    J = next(J for J in range(1, MAX_NODES + 1) if quadrature_term(J) <= target)
     eta = float(delta) / float(T)
     for K in range(0, MAX_INTERVAL_INDEX + 1):
         if truncation_term(alpha, eta, K) <= target:

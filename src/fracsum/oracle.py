@@ -107,22 +107,18 @@ def truncated_integral_W1(alpha: float, T_scaled: float, K: int, t: float) -> fl
     return val
 
 
-def tail_W2(query: TailQuery, printed_exponent: bool = False) -> float:
+def tail_W2(query: TailQuery) -> float:
     """Neglected-tail integral: sine-factor times s^(-alpha) e^(-ts) over [a, inf).
 
     The infinite tail is cut where the integrand has dropped 18 decades below
-    its value at the lower limit.  Relative accuracy 1e-10.  With
-    printed_exponent=True the integrand power is s^(alpha-1) instead; that
-    variant exists for comparison only (the tail-bound property and the
-    additivity with the truncated integral hold for the default exponent).
+    its value at the lower limit.  Relative accuracy 1e-10.
     """
     alpha, a, t = query.alpha, query.a, query.t
-    exponent = (alpha - 1.0) if printed_exponent else -alpha
     s_max = a + (_TAIL_DECADES * math.log(10.0) + 10.0) / t
     if a == 0.0:
-        val, err = _singular_piece(exponent, t, s_max, 1e-12)
+        val, err = _singular_piece(-alpha, t, s_max, 1e-12)
     else:
-        val, err = integrate.quad(lambda s: s ** exponent * math.exp(-t * s),
+        val, err = integrate.quad(lambda s: s ** -alpha * math.exp(-t * s),
                                   a, s_max,
                                   epsabs=0.0, epsrel=1e-12, limit=500)
     val *= _sine_factor(alpha)

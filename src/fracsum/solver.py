@@ -78,8 +78,6 @@ class SolverConfig:
     eps_kernel: float = 1e-10
     newton_tol: float = 1e-12
     newton_max_iter: int = 25
-    calibration: float = 1.0
-    paper_literal: bool = False
 
     def __post_init__(self):
         if not self.h > 0.0:
@@ -119,18 +117,15 @@ def history_eval(state: AuxiliaryState) -> np.ndarray:
     return state.phi @ state.coeffs
 
 
-def phi_step(state: AuxiliaryState, f_n: np.ndarray, f_np1: np.ndarray, h: float,
-             paper_literal: bool = False) -> AuxiliaryState:
+def phi_step(state: AuxiliaryState, f_n: np.ndarray, f_np1: np.ndarray,
+             h: float) -> AuxiliaryState:
     """Trapezoidal update of every auxiliary column; diagonal, so no system solve.
 
     psi <- [psi (1 - h a/2) + (h/2)(f_n + f_np1)] / (1 + h a/2) per column.
-    With paper_literal the forcing enters as (1/2)(f_n + f_np1), reproducing
-    the update as printed in the source scheme (dimensionally inconsistent;
-    kept only for comparison).
     """
     x = 0.5 * h * state.rates
     decay = (1.0 - x) / (1.0 + x)
-    gain = (0.5 if paper_literal else 0.5 * h) / (1.0 + x)
+    gain = 0.5 * h / (1.0 + x)
     forcing = np.atleast_1d(np.asarray(f_n, dtype=float) + np.asarray(f_np1, dtype=float))
     phi = state.phi * decay + np.outer(forcing, gain)
     return AuxiliaryState(phi=phi, rates=state.rates, coeffs=state.coeffs)
@@ -156,9 +151,7 @@ def _advance(problem: FDEProblem, config: SolverConfig, state: AuxiliaryState,
     ha = h ** alpha
     w0 = 1.0 / math.gamma(2.0 + alpha)
     w1 = alpha * w0
-    base = ha * w1 * f_n + history_eval(state)
-    if not config.paper_literal:
-        base = base + problem.u0
+    base = ha * w1 * f_n + history_eval(state) + problem.u0
     x = v_n.astype(float).copy()
     eye = np.eye(problem.dim)
     residuals = []
@@ -169,7 +162,7 @@ def _advance(problem: FDEProblem, config: SolverConfig, state: AuxiliaryState,
         r = float(np.max(np.abs(residual)))
         residuals.append(r)
         if r <= config.newton_tol:
-            state_np1 = phi_step(state, f_n, fx, h, config.paper_literal)
+            state_np1 = phi_step(state, f_n, fx, h)
             return x, state_np1, it, fx
         if it == config.newton_max_iter:
             break
@@ -207,8 +200,7 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     """
     if not config.h < problem.T:
         raise ValueError(f"step size must be below the horizon, got h={config.h}, T={problem.T}")
-    K, J = select_parameters(problem.alpha, config.h, problem.T,
-                             config.eps_kernel, config.calibration)
+    K, J = select_parameters(problem.alpha, config.h, problem.T, config.eps_kernel)
     S = compress(problem.alpha, config.h, problem.T, K, J)
     state = init_state(S, problem.dim)
     n_steps = int(math.floor(problem.T / config.h + 1e-9))

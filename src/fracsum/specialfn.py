@@ -136,8 +136,11 @@ def _series_profile(alpha: float, abs_z: float) -> tuple[float, int]:
 def _series_extended(alpha: float, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the defining series in extended precision for an array of points.
 
-    Returns (values, condition numbers).  Assumes no term overflows the
-    extended range (caller checks the profile first).
+    Returns (values, ill-conditioned mask).  A masked point has condition
+    number above _ML_KAPPA_MAX and its value is left at 0 for the caller to
+    redo; its extended total may lie outside float64 range, so it is never
+    cast.  Assumes no term overflows the extended range (caller checks the
+    profile first).
     """
     real_input = np.all(zs.imag == 0.0)
     work = zs.real.astype(_LD) if real_input else zs.astype(_CLD)
@@ -161,11 +164,14 @@ def _series_extended(alpha: float, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
                 f"(alpha={alpha}); the point lies outside the supported domain"
             )
-    kappa = (abs_total / np.maximum(np.abs(total), np.finfo(_LD).tiny)).astype(float)
-    return total.astype(complex), kappa
+    ill = abs_total > _ML_KAPPA_MAX * np.abs(total)
+    return np.where(ill, 0, total).astype(complex), ill
 
 
 def _mpmath_point(alpha: float, z: complex, peak_log: float, k_end: int) -> complex:
+    if z == 0:
+        # every term past the first is exactly 0, so the tail test never fires
+        return 1 + 0j
     dps = 30 + max(0, int(peak_log / math.log(10.0)) + 5)
     key = (alpha, dps)
     inv = _invgamma_cache.get(key)
@@ -215,10 +221,9 @@ def _ml_eval(alpha: float, zs: np.ndarray) -> np.ndarray:
         for i, z in enumerate(zs.ravel()):
             out.ravel()[i] = _mpmath_point(alpha, complex(z), peak_log, k_end)
         return out
-    values, kappa = _series_extended(alpha, zs)
+    values, ill = _series_extended(alpha, zs)
     out[...] = values.reshape(zs.shape)
-    bad = np.nonzero(kappa.reshape(zs.shape) > _ML_KAPPA_MAX)
-    for idx in zip(*bad):
+    for idx in zip(*np.nonzero(ill.reshape(zs.shape))):
         out[idx] = _mpmath_point(alpha, complex(zs[idx]), peak_log, k_end)
     return out
 

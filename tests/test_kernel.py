@@ -168,12 +168,11 @@ class TestEstimators:
             6.9297294400481629067e-9, rel=1e-12)
 
     def test_estimate_error_composition(self):
-        est = estimate_error(0.5, 1e-4, 1e2, 24, 7, calibration=3.0)
+        est = estimate_error(0.5, 1e-4, 1e2, 24, 7)
         assert est.eta == pytest.approx(1e-6, rel=1e-15)
         assert est.a_j == quadrature_term(7)
         assert est.b_k == truncation_term(0.5, est.eta, 24)
-        assert est.total == pytest.approx(3.0 * est.a_j + est.b_k, rel=1e-15)
-        assert est.total >= max(3.0 * est.a_j, est.b_k)
+        assert est.total == est.a_j + est.b_k
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -206,10 +205,10 @@ class TestSelectParameters:
         assert estimate_error(alpha, delta, T, K, J).total <= eps
 
     def test_infeasible(self):
-        # the quadrature term reaches ~1e-194 at the 64-node cap, so only an
-        # absurd calibration constant can exhaust it
+        # for an offset 70 decades below the horizon the truncation term is
+        # still ~1 at the K = 200 cap
         with pytest.raises(InfeasibleToleranceError):
-            select_parameters(0.5, 1e-4, 1e2, 1e-14, calibration=1e185)
+            select_parameters(0.5, 1e-70, 1.0, 1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -84,13 +84,6 @@ class TestTail:
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 1e-12 * vals[0]
 
-    def test_printed_exponent_variant(self):
-        # at order one-half both exponents coincide; elsewhere they differ
-        q = TailQuery(0.5, 1.0, 1.0)
-        assert tail_W2(q, printed_exponent=True) == pytest.approx(tail_W2(q), rel=1e-10)
-        q = TailQuery(0.2, 1.0, 1.0)
-        assert abs(tail_W2(q, printed_exponent=True) / tail_W2(q) - 1.0) > 0.1
-
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("a", [0.1, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("t", [1.0, 2.0, 10.0])

@@ -73,12 +73,6 @@ class TestPhiStep:
         out = phi_step(state, np.ones(1), np.ones(1), h)
         assert out.phi[0, 0] == pytest.approx(1.0 / a, rel=1e-14)
 
-    def test_printed_variant_drops_step_factor(self):
-        state = self._state([2.0])
-        ordinary = phi_step(state, np.ones(1), np.ones(1), 0.1)
-        printed = phi_step(state, np.ones(1), np.ones(1), 0.1, paper_literal=True)
-        assert printed.phi[0, 0] == pytest.approx(ordinary.phi[0, 0] / 0.1, rel=1e-14)
-
     def test_second_order_against_closed_form(self):
         # constant forcing: each column converges to its exact convolution at
         # rate h^2 (error drops 4x per halving)
@@ -120,14 +114,6 @@ class TestTrStep:
         traj = solve(problem, SolverConfig(h=1e-2, eps_kernel=1e-6))
         np.testing.assert_array_equal(traj.states, np.ones_like(traj.states))
         assert traj.newton_iterations.max() == 0
-
-    def test_printed_formulas_lose_initial_value(self):
-        # as printed, the step equation has no constant term: zero forcing
-        # collapses the solution to zero after the first step
-        problem = constant_problem(alpha=0.5, dim=1, T=0.5)
-        traj = solve(problem, SolverConfig(h=1e-2, eps_kernel=1e-6, paper_literal=True))
-        assert traj.states[0, 0] == 1.0
-        assert not traj.states[1:].any()
 
 
 class TestSolve:

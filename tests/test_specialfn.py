@@ -1,10 +1,13 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
+from fracsum import specialfn
 from fracsum.specialfn import (
     log_gamma,
     mittag_leffler,
@@ -163,6 +166,18 @@ class TestMittagLeffler:
         assert vals[2] == 1.0 + 0j
         assert vals[0] == pytest.approx(0.42758357615580700441, rel=1e-10)
 
+    def test_cancelling_point_is_not_cast(self):
+        # the extended-precision total here lies beyond float64 range; the
+        # point is redone in arbitrary precision, so no overflowing cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mittag_leffler(0.5, -30.0)
+        # E_1/2(-x) is the Faddeeva function at ix
+        assert got == pytest.approx(special.wofz(30j), rel=1e-10)
+
+    def test_fallback_at_origin(self):
+        assert specialfn._mpmath_point(0.5, 0j, 0.0, 64) == 1.0 + 0j
+
     def test_domain(self):
         with pytest.raises(ValueError):
             mittag_leffler(0.0, 1.0)
@@ -179,7 +194,6 @@ class TestMittagLeffler:
         # it from several threads (fresh caches) and compare against serial
         from concurrent.futures import ThreadPoolExecutor
 
-        from fracsum import specialfn
         points = [(0.3 + 0.07 * i, complex(-3.0 - 0.5 * i, 0.3 * i)) for i in range(10)]
         serial = [mittag_leffler(a, z) for a, z in points]
         specialfn._ratio_cache.clear()

@@ -33,6 +33,8 @@ __all__ = [
 
 MAX_NODES = 64
 _LD = np.longdouble
+_NEWTON_MAX = 6
+_NEWTON_DONE = mp.mpf("1e-25")
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,23 @@ def _orthonormal_core(alphas, betas, sqb, x, n):
     return p, d, christoffel
 
 
+def _polish(alphas, betas, sqb, seed, n):
+    """Node and Christoffel weight, Newton-polished from a float64 eigenvalue seed.
+
+    A step below _NEWTON_DONE leaves the node exact at the working precision,
+    and the Christoffel sum taken one step earlier is already far below
+    long-double rounding.
+    """
+    x = mp.mpf(float(seed))
+    for _ in range(_NEWTON_MAX):
+        p, d, chris = _orthonormal_core(alphas, betas, sqb, x, n)
+        step = p / d
+        x -= step
+        if abs(step) < _NEWTON_DONE:
+            return x, 1 / chris
+    raise RuntimeError(f"Newton polish did not converge (n={n}, seed={seed})")
+
+
 @lru_cache(maxsize=None)
 def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Long-double nodes and weights, accurate to the long-double rounding level."""
@@ -126,18 +145,19 @@ def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         seeds = eigh_tridiagonal(diag, off, eigvals_only=True)
         with _MP_LOCK, mp.workdps(40):
             sqb = [mp.sqrt(v) for v in betas]
-            nodes_mp = []
-            weights_mp = []
-            for s in seeds:
-                x = mp.mpf(float(s))
-                for _ in range(4):
-                    p, d, _ = _orthonormal_core(alphas, betas, sqb, x, n)
-                    x = x - p / d
-                _, _, chris = _orthonormal_core(alphas, betas, sqb, x, n)
-                nodes_mp.append(x)
-                weights_mp.append(1 / chris)
-            nodes = np.array([_LD(mp.nstr(v, 25)) for v in nodes_mp])
-            weights = np.array([_LD(mp.nstr(v, 25)) for v in weights_mp])
+            if a == b:
+                # the rule is symmetric about 0: polish the upper half and
+                # mirror it; an odd rule has its middle node exactly at 0
+                upper = [_polish(alphas, betas, sqb, s, n) for s in seeds[(n + 1) // 2:]]
+                middle = []
+                if n % 2:
+                    _, _, chris = _orthonormal_core(alphas, betas, sqb, mp.mpf(0), n)
+                    middle = [(mp.mpf(0), 1 / chris)]
+                pairs = [(-x, w) for x, w in reversed(upper)] + middle + upper
+            else:
+                pairs = [_polish(alphas, betas, sqb, s, n) for s in seeds]
+            nodes = np.array([_LD(mp.nstr(x, 25)) for x, _ in pairs])
+            weights = np.array([_LD(mp.nstr(w, 25)) for _, w in pairs])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

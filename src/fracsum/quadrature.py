@@ -145,17 +145,7 @@ def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         seeds = eigh_tridiagonal(diag, off, eigvals_only=True)
         with _MP_LOCK, mp.workdps(40):
             sqb = [mp.sqrt(v) for v in betas]
-            if a == b:
-                # the rule is symmetric about 0: polish the upper half and
-                # mirror it; an odd rule has its middle node exactly at 0
-                upper = [_polish(alphas, betas, sqb, s, n) for s in seeds[(n + 1) // 2:]]
-                middle = []
-                if n % 2:
-                    _, _, chris = _orthonormal_core(alphas, betas, sqb, mp.mpf(0), n)
-                    middle = [(mp.mpf(0), 1 / chris)]
-                pairs = [(-x, w) for x, w in reversed(upper)] + middle + upper
-            else:
-                pairs = [_polish(alphas, betas, sqb, s, n) for s in seeds]
+            pairs = [_polish(alphas, betas, sqb, s, n) for s in seeds]
             nodes = np.array([_LD(mp.nstr(x, 25)) for x, _ in pairs])
             weights = np.array([_LD(mp.nstr(w, 25)) for _, w in pairs])
     nodes.flags.writeable = False

@@ -1,10 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
 from fracsum.quadrature import (
+    _monic_coefficients,
+    _polish,
+    _rule_extended,
     ErrorKernelQuery,
     contour_bound,
     error_kernel_estimate,
@@ -18,6 +22,44 @@ AB_GRID = [(0.0, 0.0), (0.0, -0.5), (0.0, -0.9), (2.5, 0.3), (-0.5, -0.5)]
 
 def quad_apply(rule, m: int) -> float:
     return math.fsum(rule.weights * rule.nodes ** m)
+
+
+def _jacobi_and_derivative(n, a, b, x):
+    """P_n^(a,b)(x) and its derivative, from the classical three-term recurrence."""
+    def value(n, a, b):
+        p0, p1 = mp.mpf(1), (a + 1) + (a + b + 2) * (x - 1) / 2
+        if n == 0:
+            return p0
+        for k in range(2, n + 1):
+            c = 2 * k + a + b
+            p0, p1 = p1, ((c - 1) * (c * (c - 2) * x + a * a - b * b) * p1
+                          - 2 * (k + a - 1) * (k + b - 1) * c * p0) / (2 * k * (k + a + b) * (c - 2))
+        return p1
+    return value(n, a, b), (n + a + b + 1) / 2 * value(n - 1, a + 1, b + 1)
+
+
+def reference_rule(n: int, a: float, b: float):
+    """Long-double rule rounded from 60-digit nodes and closed-form weights.
+
+    Independent of the library's recurrence: classical Jacobi polynomials,
+    Newton from scipy's roots, and the textbook weight formula.
+    """
+    with mp.workdps(60):
+        am, bm = mp.mpf(a), mp.mpf(b)
+        scale = (2 ** (am + bm + 1) * mp.gamma(n + am + 1) * mp.gamma(n + bm + 1)
+                 / (mp.gamma(n + am + bm + 1) * mp.factorial(n)))
+        nodes, weights = [], []
+        for seed in roots_jacobi(n, a, b)[0]:
+            x = mp.mpf(seed)
+            for _ in range(30):
+                p, d = _jacobi_and_derivative(n, am, bm, x)
+                x -= p / d
+                if abs(p / d) < mp.mpf("1e-55"):
+                    break
+            _, d = _jacobi_and_derivative(n, am, bm, x)
+            nodes.append(np.longdouble(mp.nstr(x, 25)))
+            weights.append(np.longdouble(mp.nstr(scale / ((1 - x * x) * d * d), 25)))
+    return np.array(nodes), np.array(weights)
 
 
 class TestRuleConstruction:
@@ -99,6 +141,26 @@ class TestRuleConstruction:
             assert rule.nodes[0] > -1.0 and rule.nodes[-1] < 1.0
             mu0 = moment_oracle(a, b, 0)[0]
             assert math.fsum(rule.weights) == pytest.approx(mu0, rel=1e-12)
+
+    @pytest.mark.parametrize("n,a,b", [(7, 0.0, 0.0), (13, 10.0, 10.0), (16, 0.0, -0.5),
+                                       (20, 2.5, -0.7), (30, 0.0, -0.999)])
+    def test_correctly_rounded(self, n, a, b):
+        # the long-double rule is the rounded 60-digit rule; a node that is 0
+        # (odd symmetric rules) only has to vanish at the 40-digit working precision
+        nodes, weights = _rule_extended(n, a, b)
+        ref_nodes, ref_weights = reference_rule(n, a, b)
+        zero = ref_nodes == 0
+        assert np.array_equal(nodes[~zero], ref_nodes[~zero])
+        assert np.all(np.abs(nodes[zero]) < 1e-40)
+        assert np.array_equal(weights, ref_weights)
+
+    def test_polish_gives_up(self):
+        # a seed far outside [-1, 1] cannot converge in the step budget
+        alphas, betas = _monic_coefficients(3, 0.0, 0.0)
+        with mp.workdps(40):
+            sqb = [mp.sqrt(v) for v in betas]
+            with pytest.raises(RuntimeError, match="did not converge"):
+                _polish(alphas, betas, sqb, 100.0, 3)
 
     def test_domain(self):
         for bad in [(0, 0.0, 0.0), (65, 0.0, 0.0), (-2, 0.0, 0.0)]:

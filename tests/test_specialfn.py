@@ -175,6 +175,50 @@ class TestMittagLeffler:
         # E_1/2(-x) is the Faddeeva function at ix
         assert got == pytest.approx(special.wofz(30j), rel=1e-10)
 
+    # the costliest fallback points of the benchmark's Mittag-Leffler grids
+    @pytest.mark.parametrize("alpha,z", [
+        (0.307, -2.76 + 0j),
+        (0.302, -4.23 + 0j),
+        (0.5, -3.27 + 6.53j),
+        (0.8, -4j * 3 ** 0.8),
+        (0.7, 3 * 4 ** 0.7 + 0j),
+    ])
+    def test_fallback_matches_series(self, alpha, z):
+        # 60 digits beyond the largest term, which cancellation wipes out
+        k_peak = abs(z) ** (1 / alpha) / alpha
+        peak = max(k * math.log10(abs(z)) - math.lgamma(alpha * k + 1) / math.log(10)
+                   for k in range(int(2 * k_peak) + 2))
+        with mp.workdps(60 + int(peak)):
+            a, zm = mp.mpf(alpha), mp.mpc(z)
+            s, k = mp.mpc(0), 0
+            while True:
+                t = zm ** k / mp.gamma(a * k + 1)
+                s += t
+                if k > k_peak and abs(t) < mp.mpf(10) ** -70 * abs(s):
+                    break
+                k += 1
+            expected = complex(s)
+        peak_log, k_end = specialfn._series_profile(alpha, abs(z))
+        got = specialfn._mpmath_point(alpha, z, peak_log, k_end)
+        assert abs(got - expected) <= 1e-13 * abs(expected)
+
+    # terms past extended range: summing them gave -inf, -inf and nan+infj
+    @pytest.mark.parametrize("alpha,z", [(0.39, -40.0), (0.37, -40.0), (0.39, 40j)])
+    def test_overflowing_terms_rejected(self, alpha, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the supported domain"):
+                mittag_leffler(alpha, z)
+
+    # E_1/2(z) ~ 2 exp(z^2): e^1600 from the extended sum, and e^714 from the
+    # fallback, since the extended sum of the second point is ill-conditioned
+    @pytest.mark.parametrize("z", [40.0, 27 * cmath.exp(0.1j)])
+    def test_value_beyond_float64_rejected(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64 range"):
+                mittag_leffler(0.5, z)
+
     def test_fallback_at_origin(self):
         assert specialfn._mpmath_point(0.5, 0j, 0.0, 64) == 1.0 + 0j
 
@@ -197,7 +241,7 @@ class TestMittagLeffler:
         points = [(0.3 + 0.07 * i, complex(-3.0 - 0.5 * i, 0.3 * i)) for i in range(10)]
         serial = [mittag_leffler(a, z) for a, z in points]
         specialfn._ratio_cache.clear()
-        specialfn._invgamma_cache.clear()
+        specialfn._fixed_ratio_cache.clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda p: mittag_leffler(*p), points * 4))
         for i, got in enumerate(threaded):

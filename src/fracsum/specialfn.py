@@ -94,9 +94,10 @@ def regularized_upper_gamma(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 # Per-alpha table of consecutive gamma ratios Gamma(a k + 1)/Gamma(a(k+1) + 1),
-# computed in arbitrary precision once and stored as long doubles.  The ratios
-# stay bounded for any k, unlike the gamma values themselves.
-_ratio_cache: dict[float, np.ndarray] = {}
+# computed in arbitrary precision once and stored as long doubles, with the
+# last gamma value the table was built from.  The ratios stay bounded for any
+# k, unlike the gamma values themselves.
+_ratio_cache: dict[float, tuple[np.ndarray, mp.mpf]] = {}
 
 # Per (alpha, bits) table of the same ratios as integers at scale 2**bits, for
 # the fixed-point fallback, with the last gamma value the table was built from.
@@ -104,17 +105,22 @@ _fixed_ratio_cache: dict[tuple[float, int], tuple[list, mp.mpf]] = {}
 
 
 def _gamma_ratios(alpha: float, n: int) -> np.ndarray:
-    table = _ratio_cache.get(alpha)
-    if table is None or len(table) < n:
-        with _MP_LOCK, mp.workdps(30):
-            a = mp.mpf(alpha)
-            start = 0 if table is None else len(table)
-            new = [
-                _LD(mp.nstr(mp.gamma(a * k + 1) / mp.gamma(a * (k + 1) + 1), 25))
-                for k in range(start, max(n, 64))
-            ]
-        table = np.concatenate([table, np.array(new, _LD)]) if table is not None else np.array(new, _LD)
-        _ratio_cache[alpha] = table
+    """The long-double gamma ratios q_k, grown to at least n entries.
+
+    One 30-digit gamma per new index, as in _fixed_ratios.
+    """
+    with _MP_LOCK:
+        table, g = _ratio_cache.get(alpha, (np.empty(0, _LD), mp.mpf(1)))
+        if len(table) < n:
+            with mp.workdps(30):
+                a = mp.mpf(alpha)
+                new = []
+                for k in range(len(table), n):
+                    g_next = mp.gamma(a * (k + 1) + 1)
+                    new.append(_LD(mp.nstr(g / g_next, 25)))
+                    g = g_next
+            table = np.concatenate([table, np.array(new, _LD)])
+            _ratio_cache[alpha] = (table, g)
     return table
 
 

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fracsum.kernel import (
+    ExponentialSum,
     InfeasibleToleranceError,
     build_partition,
     compress,
@@ -243,6 +245,51 @@ class TestRelativeErrorScan:
         est = estimate_error(0.25, 1e-4, 1e2, 20, 6)
         max_err, _ = relative_error_scan(S)
         assert max_err <= 10.0 * est.a_j + est.b_k
+
+    @pytest.mark.parametrize("delta, T", [(5e-8, 0.05), (3e-7, 0.30000000000000004)])
+    def test_grid_ends_at_horizon(self, delta, T):
+        # the sixth decade boundary rounds just below T; the grid must still
+        # end in one full decade, not add a piece an ulp wide
+        _, curve = relative_error_scan(compress(0.5, delta, T, 4, 3))
+        ts = curve[:, 0]
+        assert len(ts) == 6 * 100 - 5
+        assert ts[0] == delta and ts[-1] == T
+        assert np.all(ts[1:] / ts[:-1] > 1.02)
+
+
+def _non_doubled_sum() -> ExponentialSum:
+    """A hand-built sum whose rates are nowhere exactly doubled."""
+    S = compress(0.5, 1e-4, 1e2, 20, 8)
+    a = S.a * np.repeat(1.0 + 0.01 * np.arange(S.K + 1), S.J)
+    assert not np.any(a[S.J:] == 2.0 * a[:-S.J])
+    return ExponentialSum(alpha=S.alpha, delta=S.delta, T=S.T, K=S.K, J=S.J, a=a, b=S.b)
+
+
+def _mp_relative_error(S: ExponentialSum, t: float):
+    """Relative error of the sum at t, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        alpha = mp.mpf(S.alpha)
+        shift = t - mp.mpf(S.delta)
+        w = t ** (alpha - 1) / mp.gamma(alpha)
+        total = mp.fsum(mp.mpf(b) * mp.exp(-mp.mpf(a) * shift)
+                        for a, b in zip(S.a.tolist(), S.b.tolist()))
+        return abs(w - total) / w
+
+
+@pytest.mark.parametrize("S", [
+    pytest.param(compress(0.99, 1e-4, 1e2, 25, 12), id="alpha0.99"),
+    pytest.param(compress(0.01, 1e-4, 1e2, 25, 12), id="alpha0.01"),
+    pytest.param(compress(0.3, 1e-6, 1e2, 28, 12), id="alpha0.3-delta1e-6"),
+    pytest.param(_non_doubled_sum(), id="non-doubled"),
+])
+def test_scan_matches_mpmath(S):
+    # squared exponentials of doubled rates keep the scan within about 1e-18
+    # of a 50-digit recomputation, plus the float64 rounding of the result
+    _, curve = relative_error_scan(S)
+    for t, rel in curve[::7]:
+        ref = float(_mp_relative_error(S, t))
+        assert abs(rel - ref) <= 2e-18 + 2.3e-16 * ref, (t, rel, ref)
 
 
 class TestSerialization:

@@ -233,6 +233,19 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(0.05, -39.0)
 
+    def test_gamma_ratio_table(self):
+        # one gamma per index carried from the last; the table, grown in two
+        # steps, must equal the ratio of two fresh 30-digit gammas
+        alpha = 0.4375
+        specialfn._ratio_cache.pop(alpha, None)
+        specialfn._gamma_ratios(alpha, 64)
+        table = specialfn._gamma_ratios(alpha, 256)
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            for k in (0, 1, 2, 63, 64, 65, 255):
+                ref = np.longdouble(mp.nstr(mp.gamma(a * k + 1) / mp.gamma(a * (k + 1) + 1), 25))
+                assert table[k] == ref, k
+
     def test_thread_safety(self):
         # the arbitrary-precision fallback serializes on a shared lock; hammer
         # it from several threads (fresh caches) and compare against serial

@@ -43,17 +43,12 @@ from .quadrature import (
     true_error_kernel,
 )
 from .solver import (
-    AuxiliaryState,
     FDEProblem,
     SolverConfig,
     StepFailureError,
     Trajectory,
     dump_trajectory,
-    history_eval,
-    init_state,
-    phi_step,
     solve,
-    tr_step,
 )
 from .specialfn import (
     log_gamma,
@@ -65,7 +60,6 @@ from .specialfn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryState",
     "ErrorEstimate",
     "ErrorKernelQuery",
     "ExponentialSum",
@@ -87,8 +81,6 @@ __all__ = [
     "estimate_error",
     "eval_sum",
     "gauss_jacobi_rule",
-    "history_eval",
-    "init_state",
     "kernel_direct",
     "load_terms",
     "log_gamma",
@@ -96,14 +88,12 @@ __all__ = [
     "mittag_leffler_problem",
     "mlf_exact_solution",
     "optimal_ell",
-    "phi_step",
     "quadrature_term",
     "regularized_upper_gamma",
     "relative_error_scan",
     "select_parameters",
     "solve",
     "tail_W2",
-    "tr_step",
     "true_error_kernel",
     "truncated_integral_W1",
     "truncation_term",

@@ -138,12 +138,25 @@ def _solver_config(args) -> SolverConfig:
                         newton_max_iter=args.newton_max_iter)
 
 
+def _work_lines(traj) -> list[str]:
+    """The kernel a solve built and the work it did, as header lines."""
+    S = traj.kernel
+    return [
+        f"# K {S.K}",
+        f"# J {S.J}",
+        f"# P {S.terms}",
+        f"# newton-iters {int(traj.newton_iterations.sum())}",
+        f"# rhs-calls {traj.rhs_calls}",
+        f"# jacobian-calls {traj.jacobian_calls}",
+    ]
+
+
 def _cmd_solve_mlf(args) -> int:
     lam = complex(args.lambda_re, args.lambda_im)
     problem = mittag_leffler_problem(args.alpha, lam, args.T)
     traj = solve(problem, _solver_config(args))
     exact = np.atleast_1d(mlf_exact_solution(args.alpha, lam, traj.times))
-    lines = _header("solve-mlf", args)
+    lines = _header("solve-mlf", args) + _work_lines(traj)
     if lam.imag == 0.0:
         lines.append("t,v,u,e")
         for n, t in enumerate(traj.times):
@@ -166,7 +179,7 @@ def _cmd_solve_vdp(args) -> int:
     problem = van_der_pol_problem(args.alpha, args.mu, args.x0, args.y0, args.T)
     config = _solver_config(args)
     traj = solve(problem, config)
-    lines = _header("solve-vdp", args)
+    lines = _header("solve-vdp", args) + _work_lines(traj)
     lines.append("t,x,y")
     for n, t in enumerate(traj.times):
         x, y = traj.states[n]

@@ -18,19 +18,15 @@ from io import StringIO
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .kernel import ExponentialSum, compress, select_parameters
 
 __all__ = [
     "FDEProblem",
     "SolverConfig",
-    "AuxiliaryState",
     "Trajectory",
     "StepFailureError",
-    "init_state",
-    "history_eval",
-    "phi_step",
-    "tr_step",
     "solve",
     "dump_trajectory",
 ]
@@ -39,7 +35,8 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class StepFailureError(RuntimeError):
-    """Newton iteration failed to converge within the configured budget."""
+    """Newton iteration failed to converge within the configured budget, or
+    met a singular Newton matrix."""
 
     def __init__(self, message: str, step_index: Optional[int] = None,
                  residuals: tuple[float, ...] = ()):
@@ -88,47 +85,32 @@ class SolverConfig:
             raise ValueError(f"Newton budget must be >= 1, got {self.newton_max_iter}")
 
 
-@dataclass
-class AuxiliaryState:
-    """Auxiliary convolution variables: one column per exponential term."""
-
-    phi: np.ndarray
-    rates: np.ndarray
-    coeffs: np.ndarray
-
-
 @dataclass(frozen=True)
 class Trajectory:
+    """A solve's output and what it cost.
+
+    kernel is the compressed kernel the history used (K, J and P = terms).
+    rhs_calls counts every call of the right-hand side, those of the
+    finite-difference Jacobian included; jacobian_calls counts calls of the
+    problem's own Jacobian.
+    """
+
     times: np.ndarray
     states: np.ndarray
     newton_iterations: np.ndarray
+    kernel: ExponentialSum
+    rhs_calls: int
+    jacobian_calls: int
 
 
-def init_state(S: ExponentialSum, dim: int) -> AuxiliaryState:
-    """Zero-history state holding the rates and coefficients of the kernel."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    return AuxiliaryState(phi=np.zeros((dim, S.terms)),
-                          rates=S.a.copy(), coeffs=S.b.copy())
+def _trapezoid_factors(rates: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-term factors of the trapezoidal auxiliary update.
 
-
-def history_eval(state: AuxiliaryState) -> np.ndarray:
-    """History value: the auxiliary matrix contracted with the coefficients."""
-    return state.phi @ state.coeffs
-
-
-def phi_step(state: AuxiliaryState, f_n: np.ndarray, f_np1: np.ndarray,
-             h: float) -> AuxiliaryState:
-    """Trapezoidal update of every auxiliary column; diagonal, so no system solve.
-
-    psi <- [psi (1 - h a/2) + (h/2)(f_n + f_np1)] / (1 + h a/2) per column.
+    psi <- psi * decay + (f_n + f_np1) * gain, with decay = (1 - h a/2)/(1 + h a/2)
+    and gain = (h/2)/(1 + h a/2); diagonal, so no system solve.
     """
-    x = 0.5 * h * state.rates
-    decay = (1.0 - x) / (1.0 + x)
-    gain = 0.5 * h / (1.0 + x)
-    forcing = np.atleast_1d(np.asarray(f_n, dtype=float) + np.asarray(f_np1, dtype=float))
-    phi = state.phi * decay + np.outer(forcing, gain)
-    return AuxiliaryState(phi=phi, rates=state.rates, coeffs=state.coeffs)
+    x = 0.5 * h * rates
+    return (1.0 - x) / (1.0 + x), 0.5 * h / (1.0 + x)
 
 
 def _fd_jacobian(rhs, t, x, fx):
@@ -142,88 +124,84 @@ def _fd_jacobian(rhs, t, x, fx):
     return jac
 
 
-def _advance(problem: FDEProblem, config: SolverConfig, state: AuxiliaryState,
-             v_n: np.ndarray, t_n: float, f_n: np.ndarray):
-    """One implicit step; returns (v_np1, state_np1, iterations, f_np1)."""
-    h = config.h
-    alpha = problem.alpha
-    t_np1 = t_n + h
-    ha = h ** alpha
-    w0 = 1.0 / math.gamma(2.0 + alpha)
-    w1 = alpha * w0
-    base = ha * w1 * f_n + history_eval(state) + problem.u0
-    x = v_n.astype(float).copy()
-    eye = np.eye(problem.dim)
-    residuals = []
-    fx = None
-    for it in range(config.newton_max_iter + 1):
-        fx = np.asarray(problem.rhs(t_np1, x), dtype=float)
-        residual = x - ha * w0 * fx - base
-        r = float(np.max(np.abs(residual)))
-        residuals.append(r)
-        if r <= config.newton_tol:
-            state_np1 = phi_step(state, f_n, fx, h)
-            return x, state_np1, it, fx
-        if it == config.newton_max_iter:
-            break
-        jac = (problem.jacobian(t_np1, x) if problem.jacobian is not None
-               else _fd_jacobian(problem.rhs, t_np1, x, fx))
-        delta = np.linalg.solve(eye - ha * w0 * np.asarray(jac, dtype=float), residual)
-        x = x - delta
-    raise StepFailureError(
-        f"Newton did not reach {config.newton_tol:.1e} within "
-        f"{config.newton_max_iter} iterations at t={t_np1:.6g} "
-        f"(residual trace {', '.join(f'{r:.3e}' for r in residuals)})",
-        residuals=tuple(residuals),
-    )
-
-
-def tr_step(problem: FDEProblem, config: SolverConfig, state: AuxiliaryState,
-            v_n: np.ndarray, t_n: float):
-    """Advance the solution one step from (t_n, v_n).
-
-    Returns (v_np1, state_np1, newton_iterations).  The auxiliary state is
-    advanced with the converged right-hand-side value.
-    """
-    f_n = np.asarray(problem.rhs(t_n, np.asarray(v_n, dtype=float)), dtype=float)
-    v_np1, state_np1, iters, _ = _advance(problem, config, state,
-                                          np.asarray(v_n, dtype=float), t_n, f_n)
-    return v_np1, state_np1, iters
-
-
 def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     """Constant-step march over [0, T] with the compressed-kernel history.
 
     The kernel is built once with offset delta = h and tolerance eps_kernel;
     the number of auxiliary variables P does not depend on the step count.
-    Raises StepFailureError (with the failing index) if Newton stalls.
+    Each step solves v = u0 + h^alpha (w0 f(t, v) + w1 f_n) + history by
+    Newton's method, then advances the auxiliary variables in place.
+    Raises StepFailureError (with the failing index) if Newton stalls or its
+    matrix is singular.
     """
-    if not config.h < problem.T:
-        raise ValueError(f"step size must be below the horizon, got h={config.h}, T={problem.T}")
-    K, J = select_parameters(problem.alpha, config.h, problem.T, config.eps_kernel)
-    S = compress(problem.alpha, config.h, problem.T, K, J)
-    state = init_state(S, problem.dim)
-    n_steps = int(math.floor(problem.T / config.h + 1e-9))
-    times = np.arange(n_steps + 1, dtype=float) * config.h
-    states = np.empty((n_steps + 1, problem.dim))
+    h, alpha, T = config.h, problem.alpha, problem.T
+    if not h < T:
+        raise ValueError(f"step size must be below the horizon, got h={h}, T={T}")
+    K, J = select_parameters(alpha, h, T, config.eps_kernel)
+    kernel = compress(alpha, h, T, K, J)
+    decay, gain = _trapezoid_factors(kernel.a, h)
+    coeffs = kernel.b
+    ha = h ** alpha
+    w0 = 1.0 / math.gamma(2.0 + alpha)
+    c0 = ha * w0
+    c1 = ha * (alpha * w0)
+    rhs, jacobian, u0, dim = problem.rhs, problem.jacobian, problem.u0, problem.dim
+    tol, max_iter = config.newton_tol, config.newton_max_iter
+    eye = np.eye(dim)
+    phi = np.zeros((dim, kernel.terms))
+    n_steps = int(math.floor(T / h + 1e-9))
+    times = np.arange(n_steps + 1, dtype=float) * h
+    states = np.empty((n_steps + 1, dim))
     iterations = np.zeros(n_steps, dtype=int)
-    v = problem.u0.copy()
+    v = u0.copy()
     states[0] = v
-    f_n = np.asarray(problem.rhs(0.0, v), dtype=float)
+    f_n = np.asarray(rhs(0.0, v), dtype=float)
+    rhs_calls, jacobian_calls = 1, 0
     for n in range(n_steps):
-        try:
-            v, state, iterations[n], f_n = _advance(problem, config, state,
-                                                    v, times[n], f_n)
-        except StepFailureError as failure:
-            raise StepFailureError(
-                f"step {n} failed: {failure}", step_index=n,
-                residuals=failure.residuals,
-            ) from None
-        states[n + 1] = v
+        t = times[n] + h
+        base = c1 * f_n + phi @ coeffs + u0
+        x = v
+        residuals = []
+        for it in range(max_iter + 1):
+            fx = np.asarray(rhs(t, x), dtype=float)
+            rhs_calls += 1
+            residual = x - c0 * fx - base
+            res = residual.tolist()
+            # max() passes over a NaN that is not the first entry; the sum keeps it
+            r = math.nan if math.isnan(sum(res)) else max(map(abs, res))
+            residuals.append(r)
+            if r <= tol:
+                break
+            if it == max_iter:
+                raise StepFailureError(
+                    f"step {n} failed: Newton did not reach {tol:.1e} within "
+                    f"{max_iter} iterations at t={t:.6g} "
+                    f"(residual trace {', '.join(f'{r:.3e}' for r in residuals)})",
+                    step_index=n, residuals=tuple(residuals),
+                )
+            if jacobian is None:
+                jac = _fd_jacobian(rhs, t, x, fx)
+                rhs_calls += dim
+            else:
+                jac = jacobian(t, x)
+                jacobian_calls += 1
+            _, _, delta, info = dgesv(eye - c0 * np.asarray(jac, dtype=float), residual)
+            if info > 0:
+                raise StepFailureError(
+                    f"step {n} failed: singular Newton matrix at t={t:.6g}",
+                    step_index=n, residuals=tuple(residuals),
+                )
+            x = x - delta
+        phi *= decay
+        phi += np.multiply.outer(f_n + fx, gain)
+        iterations[n] = it
+        states[n + 1] = v = x
+        f_n = fx
     states.flags.writeable = False
     times.flags.writeable = False
     iterations.flags.writeable = False
-    return Trajectory(times=times, states=states, newton_iterations=iterations)
+    return Trajectory(times=times, states=states, newton_iterations=iterations,
+                      kernel=kernel, rhs_calls=rhs_calls, jacobian_calls=jacobian_calls)
 
 
 def dump_trajectory(traj: Trajectory) -> str:

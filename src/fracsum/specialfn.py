@@ -163,7 +163,9 @@ def _series_extended(alpha: float, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     k = 0
     while True:
         if k + 1 >= len(ratios):
-            ratios = _gamma_ratios(alpha, 2 * len(ratios))
+            # grow in fixed steps: doubling overshoots the stop by up to 2x,
+            # and the profile's k_end, set for the fallback's precision, by more
+            ratios = _gamma_ratios(alpha, len(ratios) + 64)
         term = term * work * ratios[k]
         total = total + term
         mag = np.abs(term)

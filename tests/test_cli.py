@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fracsum.cli import main
 from fracsum.kernel import load_terms
+from fracsum.problems import mittag_leffler_problem, van_der_pol_problem
+from fracsum.solver import SolverConfig, solve
 
 
 def run(tmp_path, name, args):
@@ -123,6 +127,34 @@ class TestSolveCommands:
                        "--x0", "2", "--y0", "0", "--T", "3", "--h", "1",
                        "--eps", "1e-4", "--newton-max-iter", "1"])
         assert code == 4
+
+
+    def test_singular_newton_matrix_exit_code(self, tmp_path):
+        # lambda = 1/c0 makes the Newton matrix 1 - c0 lambda exactly zero
+        c0 = 0.1 ** 0.5 / math.gamma(2.5)
+        code, _ = run(tmp_path, "singular.csv",
+                      ["solve-mlf", "--alpha", "0.5", "--lambda-re", repr(1.0 / c0),
+                       "--T", "1", "--h", "0.1"])
+        assert code == 4
+
+    @pytest.mark.parametrize("command", ["solve-mlf", "solve-vdp"])
+    def test_headers_report_kernel_and_work(self, tmp_path, command):
+        flags = ["--alpha", "0.8", "--T", "0.5", "--h", "1e-2", "--eps", "1e-6"]
+        if command == "solve-mlf":
+            problem = mittag_leffler_problem(0.8, -1.0, 0.5)
+        else:
+            problem = van_der_pol_problem(0.8, 4.0, 2.0, 0.0, 0.5)
+        code, out = run(tmp_path, "out.csv", [command] + flags)
+        assert code == 0
+        header = dict(ln[2:].split(" ", 1) for ln in out.read_text().splitlines()
+                      if ln.startswith("# "))
+        traj = solve(problem, SolverConfig(h=1e-2, eps_kernel=1e-6))
+        assert header["K"] == str(traj.kernel.K)
+        assert header["J"] == str(traj.kernel.J)
+        assert header["P"] == str(traj.kernel.terms)
+        assert header["newton-iters"] == str(int(traj.newton_iterations.sum()))
+        assert header["rhs-calls"] == str(traj.rhs_calls)
+        assert header["jacobian-calls"] == str(traj.jacobian_calls)
 
 
 class TestSweepCommand:

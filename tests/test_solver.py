@@ -4,19 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsum.kernel import compress
+from fracsum.kernel import compress, select_parameters
 from fracsum.oracle import conv_const_exact, mlf_exact_solution
 from fracsum.problems import mittag_leffler_problem, van_der_pol_problem
 from fracsum.solver import (
     FDEProblem,
     SolverConfig,
     StepFailureError,
+    _trapezoid_factors,
     dump_trajectory,
-    history_eval,
-    init_state,
-    phi_step,
     solve,
-    tr_step,
 )
 
 
@@ -25,53 +22,29 @@ def constant_problem(alpha=0.5, dim=1, T=1.0):
                       rhs=lambda t, u: np.zeros(dim))
 
 
-class TestAuxiliaryState:
-    def test_init_zero(self):
-        S = compress(0.5, 1e-2, 5.0, 4, 3)
-        state = init_state(S, 2)
-        assert state.phi.shape == (2, S.terms)
-        assert not state.phi.any()
-        assert np.array_equal(state.rates, S.a)
-        assert np.array_equal(state.coeffs, S.b)
-        np.testing.assert_array_equal(history_eval(state), np.zeros(2))
-
-    def test_single_term_history(self):
-        S = compress(0.5, 1.0, 10.0, 0, 1)
-        state = init_state(S, 1)
-        state.phi[0, 0] = 3.0
-        assert history_eval(state)[0] == 3.0 * S.b[0]
-
-    def test_dim_validation(self):
-        S = compress(0.5, 1e-2, 5.0, 1, 1)
-        with pytest.raises(ValueError):
-            init_state(S, 0)
+def phi_step(phi, forcing, rates, h):
+    """One trapezoidal update of the auxiliary variables, as solve does it."""
+    decay, gain = _trapezoid_factors(np.asarray(rates, dtype=float), h)
+    return phi * decay + np.multiply.outer(forcing, gain)
 
 
 class TestPhiStep:
-    def _state(self, rates):
-        rates = np.asarray(rates, dtype=float)
-        return type(init_state(compress(0.5, 1e-2, 5.0, 0, 1), 1))(
-            phi=np.zeros((1, len(rates))), rates=rates, coeffs=np.ones(len(rates)))
-
     def test_zero_forcing_stays_zero(self):
-        state = self._state([1.0, 50.0])
-        out = phi_step(state, np.zeros(1), np.zeros(1), 0.1)
-        assert not out.phi.any()
+        out = phi_step(np.zeros((1, 2)), np.zeros(1), [1.0, 50.0], 0.1)
+        assert not out.any()
 
     def test_zero_rate_integrates_exactly(self):
         # degenerate rate: trapezoidal integration of a constant is exact
-        state = self._state([0.0])
+        phi = np.zeros((1, 1))
         c, h = 0.7, 0.05
         for n in range(1, 21):
-            state = phi_step(state, np.array([c]), np.array([c]), h)
-            assert state.phi[0, 0] == pytest.approx(n * h * c, rel=1e-14)
+            phi = phi_step(phi, np.array([2.0 * c]), [0.0], h)
+            assert phi[0, 0] == pytest.approx(n * h * c, rel=1e-14)
 
     def test_fixed_point(self):
         a, h = 3.7, 0.01
-        state = self._state([a])
-        state.phi[0, 0] = 1.0 / a
-        out = phi_step(state, np.ones(1), np.ones(1), h)
-        assert out.phi[0, 0] == pytest.approx(1.0 / a, rel=1e-14)
+        out = phi_step(np.full((1, 1), 1.0 / a), np.array([2.0]), [a], h)
+        assert out[0, 0] == pytest.approx(1.0 / a, rel=1e-14)
 
     def test_second_order_against_closed_form(self):
         # constant forcing: each column converges to its exact convolution at
@@ -80,34 +53,43 @@ class TestPhiStep:
         exact = (1.0 - np.exp(-S.a)) / S.a
         errors = []
         for h in (2e-2, 1e-2, 5e-3):
-            state = init_state(S, 1)
-            ones = np.ones(1)
+            phi = np.zeros((1, S.terms))
             for _ in range(int(round(1.0 / h))):
-                state = phi_step(state, ones, ones, h)
-            errors.append(np.max(np.abs(state.phi[0] - exact)))
-            # the history is the coefficient-weighted column sum
-            assert history_eval(state)[0] == pytest.approx(
-                float(state.phi[0] @ S.b), rel=1e-14)
+                phi = phi_step(phi, np.array([2.0]), S.a, h)
+            errors.append(np.max(np.abs(phi[0] - exact)))
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
         assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.5)
         # and the terminal history matches the closed-form convolution of 1
-        assert state.phi[0] @ S.b == pytest.approx(conv_const_exact(S, 1.0), rel=1e-4)
+        assert phi[0] @ S.b == pytest.approx(conv_const_exact(S, 1.0), rel=1e-4)
 
 
 class TestTrStep:
     def test_linear_step_closed_form(self):
         alpha, lam, h = 0.5, -1.0, 1e-3
-        problem = mittag_leffler_problem(alpha, lam, 10.0)
-        config = SolverConfig(h=h, eps_kernel=1e-8)
-        S = compress(alpha, h, 10.0, 18, 6)
-        state = init_state(S, 1)
-        v1, state1, iters = tr_step(problem, config, state, problem.u0, 0.0)
+        problem = mittag_leffler_problem(alpha, lam, 1.5 * h)
+        traj = solve(problem, SolverConfig(h=h, eps_kernel=1e-8))
         w0 = 1.0 / math.gamma(2.0 + alpha)
         w1 = alpha * w0
         expected = (1.0 + h ** alpha * w1 * lam) / (1.0 - h ** alpha * w0 * lam)
-        assert v1[0] == pytest.approx(expected, rel=1e-12)
-        assert iters >= 1
-        assert state1.phi.any()
+        assert len(traj.times) == 2
+        assert traj.states[1, 0] == pytest.approx(expected, rel=1e-12)
+        assert traj.newton_iterations[0] >= 1
+
+    def test_second_step_carries_history(self):
+        # the history starts at zero and is the kernel coefficients contracted
+        # with the auxiliary variables after one trapezoidal update
+        alpha, lam, h = 0.5, -1.0, 1e-2
+        problem = mittag_leffler_problem(alpha, lam, 2.5 * h)
+        traj = solve(problem, SolverConfig(h=h, eps_kernel=1e-8))
+        S = traj.kernel
+        c0 = h ** alpha / math.gamma(2.0 + alpha)
+        c1 = alpha * c0
+        v1 = (1.0 + c1 * lam) / (1.0 - c0 * lam)
+        x = 0.5 * h * S.a
+        history = np.sum(S.b * 0.5 * h / (1.0 + x)) * lam * (1.0 + v1)
+        v2 = (1.0 + c1 * lam * v1 + history) / (1.0 - c0 * lam)
+        assert history != 0.0
+        np.testing.assert_allclose(traj.states[1:, 0], [v1, v2], rtol=1e-12)
 
     def test_zero_rhs_keeps_initial_value(self):
         problem = constant_problem(alpha=0.3, dim=2, T=0.5)
@@ -198,6 +180,58 @@ class TestSolve:
         assert failure.value.step_index == 0
         assert len(failure.value.residuals) >= 1
 
+    def test_singular_newton_matrix_reports_index(self):
+        # rhs u/c0 makes the Newton matrix 1 - c0 * (1/c0) exactly zero
+        c0 = 0.1 ** 0.5 / math.gamma(2.5)
+        problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
+                             rhs=lambda t, u: u / c0,
+                             jacobian=lambda t, u: np.array([[1.0 / c0]]))
+        with pytest.raises(StepFailureError, match="singular") as failure:
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert failure.value.step_index == 0
+        assert len(failure.value.residuals) == 1
+
+    def test_nan_residual_never_converges(self):
+        # a NaN in any component must fail the step, not pass the norm test
+        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
+                             rhs=lambda t, u: np.array([0.0, np.nan]))
+        with pytest.raises(StepFailureError) as failure:
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert failure.value.step_index == 0
+
+    def test_reports_kernel_and_work(self):
+        calls = {"rhs": 0, "jacobian": 0}
+        base = van_der_pol_problem(0.8, 4.0, 2.0, 0.0, 1.0)
+
+        def rhs(t, u):
+            calls["rhs"] += 1
+            return base.rhs(t, u)
+
+        def jacobian(t, u):
+            calls["jacobian"] += 1
+            return base.jacobian(t, u)
+
+        config = SolverConfig(h=1e-2, eps_kernel=1e-8)
+        for jac in (jacobian, None):
+            calls.update(rhs=0, jacobian=0)
+            problem = FDEProblem(alpha=0.8, dim=2, u0=base.u0, T=1.0,
+                                 rhs=rhs, jacobian=jac)
+            traj = solve(problem, config)
+            assert traj.rhs_calls == calls["rhs"]
+            assert traj.jacobian_calls == calls["jacobian"]
+            # one rhs call to start, one per Newton residual, and two more
+            # per finite-difference Jacobian
+            iters = int(traj.newton_iterations.sum())
+            steps = len(traj.newton_iterations)
+            fd = jac is None
+            assert calls["rhs"] == 1 + steps + iters + (2 * iters if fd else 0)
+            assert calls["jacobian"] == (0 if fd else iters)
+        K, J = select_parameters(0.8, 1e-2, 1.0, 1e-8)
+        S = compress(0.8, 1e-2, 1.0, K, J)
+        assert (traj.kernel.K, traj.kernel.J, traj.kernel.terms) == (K, J, S.terms)
+        np.testing.assert_array_equal(traj.kernel.a, S.a)
+        np.testing.assert_array_equal(traj.kernel.b, S.b)
+
     def test_step_size_validation(self):
         with pytest.raises(ValueError):
             solve(constant_problem(T=1.0), SolverConfig(h=2.0, eps_kernel=1e-6))
@@ -254,3 +288,32 @@ class TestValidation:
     def test_van_der_pol_validation(self):
         with pytest.raises(ValueError):
             van_der_pol_problem(0.8, -1.0, 2.0, 0.0, 5.0)
+
+
+class TestBaseCases:
+    # The unperturbed solve_ivp benchmark cases at kernel tolerance 1e-8:
+    # final state and total Newton iterations, recorded before the step loop
+    # was rewritten (the rewrite is bit-identical on these cases).
+    CASES = [
+        (("mlf", 0.5, -1.0, 10.0), 0.01, [0.1705762227016069], 1000),
+        (("mlf", 0.5, -1 + 2j, 5.0), 0.005,
+         [0.05277722445733793, 0.10122280593499512], 1000),
+        (("mlf", 0.3, -2.0, 4.0), 0.004, [0.21000513216800723], 1000),
+        (("mlf", 0.7, -1.5, 6.0), 0.006, [0.07331514714816585], 1000),
+        (("mlf", 0.9, -1 + 1j, 8.0), 0.008,
+         [0.0075786157695568275, 0.01043050942057197], 1000),
+        (("vdp", 0.8, 1.0, 2.0, 0.0, 5.0), 0.005,
+         [0.1566769588836187, 1.1078805087902983], 2000),
+        (("vdp", 0.9, 2.0, 2.0, 0.0, 8.0), 0.01,
+         [0.5404322816525041, -1.4392774517878077], 1663),
+        (("vdp", 0.85, 4.0, 2.0, 0.0, 5.0), 0.005,
+         [-1.5557783709942232, -0.5433861882220913], 2050),
+    ]
+
+    @pytest.mark.parametrize("case, h, final, newton", CASES)
+    def test_final_state(self, case, h, final, newton):
+        kind, *params = case
+        make = mittag_leffler_problem if kind == "mlf" else van_der_pol_problem
+        traj = solve(make(*params), SolverConfig(h=h, eps_kernel=1e-8))
+        np.testing.assert_allclose(traj.states[-1], final, rtol=1e-13, atol=0)
+        assert int(traj.newton_iterations.sum()) == newton

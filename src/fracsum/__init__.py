@@ -12,8 +12,6 @@ from .kernel import (
     ErrorEstimate,
     ExponentialSum,
     InfeasibleToleranceError,
-    IntervalPartition,
-    build_partition,
     compress,
     dump_terms,
     estimate_error,
@@ -34,50 +32,40 @@ from .oracle import (
 )
 from .problems import mittag_leffler_problem, van_der_pol_problem
 from .quadrature import (
-    ErrorKernelQuery,
     QuadratureRule,
     contour_bound,
-    error_kernel_estimate,
     gauss_jacobi_rule,
     optimal_ell,
-    true_error_kernel,
 )
 from .solver import (
     FDEProblem,
     SolverConfig,
     StepFailureError,
     Trajectory,
-    dump_trajectory,
     solve,
 )
 from .specialfn import (
     log_gamma,
     mittag_leffler,
     regularized_upper_gamma,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ErrorEstimate",
-    "ErrorKernelQuery",
     "ExponentialSum",
     "FDEProblem",
     "InfeasibleToleranceError",
-    "IntervalPartition",
     "QuadratureRule",
     "SolverConfig",
     "StepFailureError",
     "TailQuery",
     "Trajectory",
-    "build_partition",
     "compress",
     "conv_const_exact",
     "contour_bound",
     "dump_terms",
-    "dump_trajectory",
-    "error_kernel_estimate",
     "estimate_error",
     "eval_sum",
     "gauss_jacobi_rule",
@@ -94,9 +82,7 @@ __all__ = [
     "select_parameters",
     "solve",
     "tail_W2",
-    "true_error_kernel",
     "truncated_integral_W1",
     "truncation_term",
-    "upper_incomplete_gamma",
     "van_der_pol_problem",
 ]

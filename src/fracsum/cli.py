@@ -132,12 +132,6 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(h=args.h, eps_kernel=args.eps,
-                        newton_tol=args.newton_tol,
-                        newton_max_iter=args.newton_max_iter)
-
-
 def _work_lines(traj) -> list[str]:
     """The kernel a solve built and the work it did, as header lines."""
     S = traj.kernel
@@ -154,7 +148,7 @@ def _work_lines(traj) -> list[str]:
 def _cmd_solve_mlf(args) -> int:
     lam = complex(args.lambda_re, args.lambda_im)
     problem = mittag_leffler_problem(args.alpha, lam, args.T)
-    traj = solve(problem, _solver_config(args))
+    traj = solve(problem, SolverConfig(h=args.h, eps_kernel=args.eps))
     exact = np.atleast_1d(mlf_exact_solution(args.alpha, lam, traj.times))
     lines = _header("solve-mlf", args) + _work_lines(traj)
     if lam.imag == 0.0:
@@ -177,7 +171,7 @@ def _cmd_solve_mlf(args) -> int:
 
 def _cmd_solve_vdp(args) -> int:
     problem = van_der_pol_problem(args.alpha, args.mu, args.x0, args.y0, args.T)
-    config = _solver_config(args)
+    config = SolverConfig(h=args.h, eps_kernel=args.eps)
     traj = solve(problem, config)
     lines = _header("solve-vdp", args) + _work_lines(traj)
     lines.append("t,x,y")
@@ -259,8 +253,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--T", type=float, required=True, help="horizon")
     sub.add_argument("--h", type=float, required=True, help="step size")
     sub.add_argument("--eps", type=float, default=1e-10, help="kernel tolerance")
-    sub.add_argument("--newton-tol", type=float, default=1e-12)
-    sub.add_argument("--newton-max-iter", type=int, default=25)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,8 +318,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return _INFEASIBLE_EXIT
     except StepFailureError as err:
-        where = "" if err.step_index is None else f" (step {err.step_index})"
-        print(f"error: solver failure{where}: {err}", file=sys.stderr)
+        print(f"error: solver failure: {err}", file=sys.stderr)
         return _SOLVER_EXIT
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -27,11 +27,9 @@ from .quadrature import MAX_NODES, _rule_extended
 from .specialfn import _MP_LOCK, regularized_upper_gamma
 
 __all__ = [
-    "IntervalPartition",
     "ExponentialSum",
     "ErrorEstimate",
     "InfeasibleToleranceError",
-    "build_partition",
     "compress",
     "eval_sum",
     "quadrature_term",
@@ -57,16 +55,6 @@ _SCAN_MAX_SQUARINGS = 3
 
 class InfeasibleToleranceError(Exception):
     """No parameter pair within the caps meets the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Dyadic intervals (c_k - r_k, c_k + r_k) covering (0, 2^K/T]."""
-
-    T: float
-    K: int
-    centers: np.ndarray
-    radii: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,26 +88,6 @@ class ErrorEstimate:
     total: float
 
 
-def build_partition(K: int, T: float) -> IntervalPartition:
-    """First interval (0, 1/T], then dyadic doubling up to 2^K/T."""
-    if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
-        raise ValueError(f"interval index must be an integer, got {K!r}")
-    if not 0 <= K <= MAX_INTERVAL_INDEX:
-        raise ValueError(f"interval index must be in [0, {MAX_INTERVAL_INDEX}], got {K}")
-    T = float(T)
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    radii = np.empty(K + 1)
-    radii[0] = 1.0 / (2.0 * T)
-    if K >= 1:
-        radii[1:] = np.exp2(np.arange(K, dtype=float)) / (2.0 * T)
-    centers = 3.0 * radii
-    centers[0] = radii[0]
-    centers.flags.writeable = False
-    radii.flags.writeable = False
-    return IntervalPartition(T=T, K=int(K), centers=centers, radii=radii)
-
-
 def _sine_factor_ld(alpha: float):
     """sin(pi alpha)/pi as a long double, seeded at 25 digits."""
     with _MP_LOCK, mp.workdps(30):
@@ -131,8 +99,12 @@ def _validate_compress_args(alpha, delta, T, K, J):
         raise ValueError(f"order must be in (0, 1), got {alpha}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"offset must be positive and finite, got {delta}")
-    if not T > delta:
-        raise ValueError(f"horizon must exceed the offset, got T={T}, delta={delta}")
+    if not delta < T < math.inf:
+        raise ValueError(f"horizon must be finite and exceed the offset, got T={T}, delta={delta}")
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
+        raise ValueError(f"interval index must be an integer, got {K!r}")
+    if not 0 <= K <= MAX_INTERVAL_INDEX:
+        raise ValueError(f"interval index must be in [0, {MAX_INTERVAL_INDEX}], got {K}")
     if not isinstance(J, (int, np.integer)) or isinstance(J, bool):
         raise ValueError(f"node count must be an integer, got {J!r}")
     if not 1 <= J <= MAX_NODES:
@@ -171,7 +143,6 @@ def compress(alpha: float, delta: float, T: float, K: int, J: int) -> Exponentia
     coefficients are as accurate as the format allows.
     """
     _validate_compress_args(alpha, delta, T, K, J)
-    part = build_partition(K, T)  # validates K, T and fixes the geometry
     rates_ld, coeffs_ld = _build_arrays_ld(float(alpha), float(delta), float(T), int(K), int(J))
     a = rates_ld.astype(float)
     b = coeffs_ld.astype(float)
@@ -185,9 +156,11 @@ def compress(alpha: float, delta: float, T: float, K: int, J: int) -> Exponentia
             f"fastest-interval coefficients underflow (damping exponent "
             f"~{delta * 2.0 ** K / T:.3g}); use select_parameters or a smaller K"
         )
-    lo = np.repeat(part.centers - part.radii, J)
-    hi = np.repeat(part.centers + part.radii, J)
-    if not (np.all(a > lo) and np.all(a < hi) and np.all(b > 0.0)):
+    # interval k holds rates in (0, 1/T) for k = 0 and (2^(k-1)/T, 2^k/T) after
+    hi = np.exp2(np.arange(K + 1)) / T
+    lo = np.concatenate([[0.0], hi[:-1]])
+    if not (np.all(a > np.repeat(lo, J)) and np.all(a < np.repeat(hi, J))
+            and np.all(b > 0.0)):
         raise RuntimeError("compressed-kernel construction produced out-of-range terms")
     a.flags.writeable = False
     b.flags.writeable = False
@@ -221,8 +194,6 @@ def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> Erro
     (the acceptance band uses 10).
     """
     _validate_compress_args(alpha, delta, T, K, J)
-    if not 0 <= K <= MAX_INTERVAL_INDEX:
-        raise ValueError(f"interval index must be in [0, {MAX_INTERVAL_INDEX}], got {K}")
     eta = float(delta) / float(T)
     a_j = quadrature_term(int(J))
     b_k = truncation_term(float(alpha), eta, int(K))

@@ -1,4 +1,4 @@
-"""Gauss-Jacobi rules for the weight (1-x)^a (1+x)^b, plus error-kernel diagnostics.
+"""Gauss-Jacobi rules for the weight (1-x)^a (1+x)^b, and the contour bound.
 
 Nodes come from the symmetric tridiagonal eigenproblem built on the three-term
 recurrence (Golub-Welsch) and are then Newton-polished against the
@@ -16,17 +16,13 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
 from .specialfn import _MP_LOCK
 
 __all__ = [
     "QuadratureRule",
-    "ErrorKernelQuery",
     "gauss_jacobi_rule",
-    "error_kernel_estimate",
-    "true_error_kernel",
     "optimal_ell",
     "contour_bound",
 ]
@@ -46,30 +42,6 @@ class QuadratureRule:
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class ErrorKernelQuery:
-    """Parameters of the analytic-function error kernel: node count, weight
-    exponents, and the radius of the analyticity disc."""
-
-    n: int
-    a: float
-    b: float
-    ell: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"node count must be nonnegative, got {self.n}")
-        if self.a <= -1.0 or self.b <= -1.0:
-            raise ValueError(f"weight exponents must exceed -1, got a={self.a}, b={self.b}")
-        if not self.ell > 1.0:
-            raise ValueError(f"disc radius must exceed 1, got {self.ell}")
-
-
-def _check_exponents(a: float, b: float) -> None:
-    if not (-1.0 < a <= 10.0 and -1.0 < b <= 10.0):
-        raise ValueError(f"weight exponents must lie in (-1, 10], got a={a}, b={b}")
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +136,8 @@ def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
     a = float(a)
     b = float(b)
-    _check_exponents(a, b)
+    if not (-1.0 < a <= 10.0 and -1.0 < b <= 10.0):
+        raise ValueError(f"weight exponents must lie in (-1, 10], got a={a}, b={b}")
     nodes_ld, weights_ld = _rule_extended(int(n), a, b)
     nodes = nodes_ld.astype(float)
     weights = weights_ld.astype(float)
@@ -176,66 +149,6 @@ def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(n=int(n), a=a, b=b, nodes=nodes, weights=weights)
-
-
-def error_kernel_estimate(query: ErrorKernelQuery) -> float:
-    """Leading-order size of the error kernel on the disc of radius ell.
-
-    Positive, and strictly decreasing in the node count by the exact factor
-    (ell + sqrt(ell^2 - 1))^2.  Sharp asymptotically; intended for ell >= 1.5.
-    """
-    ell = query.ell
-    u = ell + math.sqrt(ell * ell - 1.0)
-    return (2.0 * math.pi
-            * (ell - 1.0) ** query.a * (ell + 1.0) ** query.b
-            * u ** (-(query.a + query.b))
-            * u ** (-(2 * query.n + 1)))
-
-
-def _jacobi_poly(n: int, a: float, b: float, x: float) -> float:
-    """Jacobi polynomial normalized to binom(n+a, n) at x=1, by recurrence."""
-    if n == 0:
-        return 1.0
-    pm2 = 1.0
-    pm1 = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
-    for m in range(2, n + 1):
-        c1 = 2.0 * m * (m + a + b) * (2 * m + a + b - 2)
-        c2 = (2 * m + a + b - 1) * ((2 * m + a + b) * (2 * m + a + b - 2) * x + a * a - b * b)
-        c3 = 2.0 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
-        pm2, pm1 = pm1, (c2 * pm1 - c3 * pm2) / c1
-    return pm1
-
-
-def true_error_kernel(n: int, a: float, b: float, ell: float) -> float:
-    """Error kernel evaluated from its integral representation (test support).
-
-    The numerator is the weighted integral of (1-x)^(n+a) (1+x)^(n+b)
-    / (ell-x)^(n+1), scaled by 2^-n, done by adaptive quadrature with the
-    endpoint algebra handled as a QAWS weight; the denominator is the Jacobi
-    polynomial at ell.  Relative accuracy ~1e-8; supported for n <= 8.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"node count must be an integer, got {n!r}")
-    if not 0 <= n <= 8:
-        raise ValueError(f"supported for n in [0, 8], got {n}")
-    a = float(a)
-    b = float(b)
-    ell = float(ell)
-    _check_exponents(a, b)
-    if not ell > 1.0:
-        raise ValueError(f"disc radius must exceed 1, got {ell}")
-    scale = 2.0 ** (-n)
-    val, err = integrate.quad(
-        lambda x: scale / (ell - x) ** (n + 1),
-        -1.0, 1.0,
-        weight="alg", wvar=(n + b, n + a),
-        epsabs=0.0, epsrel=1e-11, limit=400,
-    )
-    if not math.isfinite(val) or err > 1e-8 * abs(val):
-        raise RuntimeError(
-            f"error-kernel quadrature did not converge (n={n}, a={a}, b={b}, ell={ell})"
-        )
-    return val / _jacobi_poly(int(n), a, b, ell)
 
 
 def contour_bound(J: int, ell: float) -> float:

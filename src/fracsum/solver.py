@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,15 +27,19 @@ __all__ = [
     "Trajectory",
     "StepFailureError",
     "solve",
-    "dump_trajectory",
 ]
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
+# Newton stops once the largest residual component is at most NEWTON_TOL and
+# fails the step after NEWTON_MAX_ITER corrections.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 25
+
 
 class StepFailureError(RuntimeError):
-    """Newton iteration failed to converge within the configured budget, or
-    met a singular Newton matrix."""
+    """Newton iteration failed to converge within NEWTON_MAX_ITER corrections,
+    or met a singular Newton matrix."""
 
     def __init__(self, message: str, step_index: Optional[int] = None,
                  residuals: tuple[float, ...] = ()):
@@ -73,16 +76,10 @@ class FDEProblem:
 class SolverConfig:
     h: float
     eps_kernel: float = 1e-10
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 25
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"step size must be positive, got {self.h}")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"Newton tolerance must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"Newton budget must be >= 1, got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,6 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     c0 = ha * w0
     c1 = ha * (alpha * w0)
     rhs, jacobian, u0, dim = problem.rhs, problem.jacobian, problem.u0, problem.dim
-    tol, max_iter = config.newton_tol, config.newton_max_iter
     eye = np.eye(dim)
     phi = np.zeros((dim, kernel.terms))
     n_steps = int(math.floor(T / h + 1e-9))
@@ -162,7 +158,7 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
         base = c1 * f_n + phi @ coeffs + u0
         x = v
         residuals = []
-        for it in range(max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             fx = np.asarray(rhs(t, x), dtype=float)
             rhs_calls += 1
             residual = x - c0 * fx - base
@@ -170,12 +166,12 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
             # max() passes over a NaN that is not the first entry; the sum keeps it
             r = math.nan if math.isnan(sum(res)) else max(map(abs, res))
             residuals.append(r)
-            if r <= tol:
+            if r <= NEWTON_TOL:
                 break
-            if it == max_iter:
+            if it == NEWTON_MAX_ITER:
                 raise StepFailureError(
-                    f"step {n} failed: Newton did not reach {tol:.1e} within "
-                    f"{max_iter} iterations at t={t:.6g} "
+                    f"step {n} failed: Newton did not reach {NEWTON_TOL:.1e} within "
+                    f"{NEWTON_MAX_ITER} iterations at t={t:.6g} "
                     f"(residual trace {', '.join(f'{r:.3e}' for r in residuals)})",
                     step_index=n, residuals=tuple(residuals),
                 )
@@ -203,14 +199,3 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     return Trajectory(times=times, states=states, newton_iterations=iterations,
                       kernel=kernel, rhs_calls=rhs_calls, jacobian_calls=jacobian_calls)
 
-
-def dump_trajectory(traj: Trajectory) -> str:
-    """Plain tabular export: time, state components, Newton count per row."""
-    d = traj.states.shape[1]
-    out = StringIO()
-    out.write("# t " + " ".join(f"v{i}" for i in range(d)) + " newton_iters\n")
-    for n, t in enumerate(traj.times):
-        comps = " ".join(f"{x:.17g}" for x in traj.states[n])
-        iters = traj.newton_iterations[n - 1] if n > 0 else 0
-        out.write(f"{t:.17g} {comps} {iters}\n")
-    return out.getvalue()

@@ -7,7 +7,6 @@ All functions are pure and safe to call from multiple threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 
@@ -17,13 +16,11 @@ from scipy import special as sc
 
 __all__ = [
     "log_gamma",
-    "upper_incomplete_gamma",
     "regularized_upper_gamma",
     "mittag_leffler",
 ]
 
-# Largest shape parameter accepted by upper_incomplete_gamma.  Keeps
-# exp(log_gamma(s)) comfortably inside double range.
+# Largest shape parameter accepted by regularized_upper_gamma.
 _MAX_SHAPE = 50.0
 
 # Operating disc for the Mittag-Leffler series.
@@ -63,23 +60,13 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma integral of t^(s-1) e^(-t) over [x, inf).
-
-    Nonincreasing in x; equals Gamma(s) at x=0.  Relative error <= 1e-12 for
-    s in (0, 50].  Underflows to 0 for very large x.
-    """
-    s = float(s)
-    x = float(x)
-    if not 0.0 < s <= _MAX_SHAPE:
-        raise ValueError(f"shape parameter must be in (0, {_MAX_SHAPE}], got {s}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    return float(sc.gammaincc(s, x)) * math.exp(math.lgamma(s))
-
-
 def regularized_upper_gamma(s: float, x: float) -> float:
-    """Ratio Gamma(s, x) / Gamma(s), in [0, 1].  Same domain as above."""
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
+
+    The integral of t^(s-1) e^(-t) over [x, inf), divided by Gamma(s): in
+    [0, 1], nonincreasing in x and 1 at x = 0.  Requires s in (0, 50] and
+    x >= 0; relative error <= 1e-12 there, with underflow to 0 at large x.
+    """
     s = float(s)
     x = float(x)
     if not 0.0 < s <= _MAX_SHAPE:
@@ -259,10 +246,6 @@ def _mpmath_point(alpha: float, z: complex, peak_log: float, k_end: int) -> comp
 def _ml_eval(alpha: float, zs: np.ndarray) -> np.ndarray:
     """Vector core.  Validated scalar/array entry points wrap this."""
     out = np.empty(zs.shape, complex)
-    if alpha == 1.0:
-        for i, z in enumerate(zs.ravel()):
-            out.ravel()[i] = cmath.exp(z)
-        return out
     abs_max = float(np.abs(zs).max()) if zs.size else 0.0
     peak_log, k_end = _series_profile(alpha, abs_max)
     if k_end > _ML_MAX_TERMS:

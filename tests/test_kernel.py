@@ -7,7 +7,6 @@ import pytest
 from fracsum.kernel import (
     ExponentialSum,
     InfeasibleToleranceError,
-    build_partition,
     compress,
     dump_terms,
     estimate_error,
@@ -21,39 +20,41 @@ from fracsum.kernel import (
 from fracsum.oracle import kernel_direct
 
 
+def interval_bounds(K, T):
+    """Literal rate bounds of interval k: (0, 1/T) for k = 0, (2^(k-1)/T, 2^k/T) after."""
+    return [(0.0 if k == 0 else 2.0 ** (k - 1) / T, 2.0 ** k / T) for k in range(K + 1)]
+
+
 class TestPartition:
+    # the dyadic geometry of the rates compress builds, against interval_bounds
     def test_single_interval(self):
-        part = build_partition(0, 10.0)
-        assert part.centers.tolist() == [0.05]
-        assert part.radii.tolist() == [0.05]
+        S = compress(0.5, 1e-3, 10.0, 0, 6)
+        assert np.all(S.a > 0.0) and np.all(S.a < 0.1)
 
     def test_three_intervals(self):
-        part = build_partition(2, 10.0)
-        np.testing.assert_allclose(part.centers, [0.05, 0.15, 0.3], rtol=1e-15)
-        np.testing.assert_allclose(part.radii, [0.05, 0.05, 0.1], rtol=1e-15)
-        assert part.centers[2] + part.radii[2] == pytest.approx(0.4, rel=1e-15)
+        S = compress(0.5, 1e-3, 10.0, 2, 4)
+        blocks = S.a.reshape(3, 4)
+        for block, (lo, hi) in zip(blocks, [(0.0, 0.1), (0.1, 0.2), (0.2, 0.4)]):
+            assert np.all(block > lo) and np.all(block < hi)
 
     @pytest.mark.parametrize("K,T", [(0, 1.0), (3, 10.0), (11, 0.37), (24, 1e2), (200, 1e-3)])
     def test_invariants(self, K, T):
-        part = build_partition(K, T)
-        assert part.centers[0] == part.radii[0] == pytest.approx(1.0 / (2.0 * T), rel=1e-15)
-        left = part.centers[1:] - part.radii[1:]
-        right = (part.centers + part.radii)[:-1]
-        np.testing.assert_allclose(left, right, rtol=3e-16)
-        assert part.centers[-1] + part.radii[-1] == pytest.approx(2.0 ** K / T, rel=3e-16)
-        # dyadic doubling of the interval lengths after the first
+        J = 3
+        S = compress(0.4, T * 2.0 ** -(K + 1), T, K, J)
+        blocks = S.a.reshape(K + 1, J)
+        for block, (lo, hi) in zip(blocks, interval_bounds(K, T)):
+            assert np.all(block > lo) and np.all(block < hi)
+        # dyadic doubling: every interval past the first two has exactly twice
+        # the rates of the one before, which the error scan relies on
         if K >= 2:
-            np.testing.assert_allclose(part.radii[2:] / part.radii[1:-1], 2.0, rtol=0)
+            np.testing.assert_array_equal(blocks[2:], 2.0 * blocks[1:-1])
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            build_partition(-1, 1.0)
-        with pytest.raises(ValueError):
-            build_partition(201, 1.0)
-        with pytest.raises(ValueError):
-            build_partition(3, 0.0)
-        with pytest.raises(ValueError):
-            build_partition(2.5, 1.0)
+        for K, T in [(-1, 1.0), (201, 1.0), (2.5, 1.0), (3, math.inf), (3, 0.0)]:
+            with pytest.raises(ValueError):
+                compress(0.5, 1e-3, T, K, 4)
+            with pytest.raises(ValueError):
+                estimate_error(0.5, 1e-3, T, K, 4)
 
 
 class TestCompress:
@@ -69,11 +70,10 @@ class TestCompress:
     def test_term_count_and_layout(self, K, J):
         S = compress(0.3, 1e-3, 50.0, K, J)
         assert S.terms == (K + 1) * J == len(S.a) == len(S.b)
-        part = build_partition(K, 50.0)
-        for k in range(K + 1):
+        for k, (lo, hi) in enumerate(interval_bounds(K, 50.0)):
             block = S.a[k * J:(k + 1) * J]
-            assert np.all(block > part.centers[k] - part.radii[k])
-            assert np.all(block < part.centers[k] + part.radii[k])
+            assert np.all(block > lo)
+            assert np.all(block < hi)
             assert np.all(np.diff(block) > 0)
 
     def test_positivity(self):

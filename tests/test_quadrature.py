@@ -9,12 +9,9 @@ from fracsum.quadrature import (
     _monic_coefficients,
     _polish,
     _rule_extended,
-    ErrorKernelQuery,
     contour_bound,
-    error_kernel_estimate,
     gauss_jacobi_rule,
     optimal_ell,
-    true_error_kernel,
 )
 
 AB_GRID = [(0.0, 0.0), (0.0, -0.5), (0.0, -0.9), (2.5, 0.3), (-0.5, -0.5)]
@@ -174,70 +171,6 @@ class TestRuleConstruction:
             gauss_jacobi_rule(4, 11.0, 0.0)
         with pytest.raises(ValueError):
             gauss_jacobi_rule(2.5, 0.0, 0.0)
-
-
-class TestErrorKernelEstimate:
-    def test_reference_values(self):
-        # closed form evaluated at 60 digits
-        q = ErrorKernelQuery(5, 0.0, 0.0, 3.0)
-        assert error_kernel_estimate(q) == pytest.approx(2.3829492374342033824e-8, rel=1e-13)
-        q = ErrorKernelQuery(5, 0.0, -0.5, 3.0)
-        assert error_kernel_estimate(q) == pytest.approx(2.8764741837301392252e-8, rel=1e-13)
-
-    def test_step_ratio(self):
-        # one more node shrinks the kernel by exactly (ell + sqrt(ell^2-1))^2
-        for ell in (1.5, 2.2, 3.0):
-            u2 = (ell + math.sqrt(ell * ell - 1.0)) ** 2
-            for n in (1, 4, 9):
-                a = error_kernel_estimate(ErrorKernelQuery(n, 0.3, -0.4, ell))
-                b = error_kernel_estimate(ErrorKernelQuery(n + 1, 0.3, -0.4, ell))
-                assert a / b == pytest.approx(u2, rel=1e-12)
-
-    def test_positive_decreasing(self):
-        vals = [error_kernel_estimate(ErrorKernelQuery(n, 0.0, -0.7, 2.0))
-                for n in range(1, 12)]
-        assert all(v > 0.0 for v in vals)
-        assert all(x > y for x, y in zip(vals, vals[1:]))
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            ErrorKernelQuery(3, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ErrorKernelQuery(3, -1.5, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            ErrorKernelQuery(-1, 0.0, 0.0, 2.0)
-
-
-class TestTrueErrorKernel:
-    def test_zero_order_log(self):
-        # with no nodes the kernel is the plain resolvent integral: log((l+1)/(l-1))
-        assert true_error_kernel(0, 0.0, 0.0, 3.0) == pytest.approx(math.log(2.0), rel=1e-9)
-        assert true_error_kernel(0, 0.0, 0.0, 2.0) == pytest.approx(math.log(3.0), rel=1e-9)
-
-    def test_reference_values(self):
-        # adaptive quadrature of the integral representation at 50 digits
-        assert true_error_kernel(1, 0.0, 0.0, 3.0) == pytest.approx(
-            0.026480513893278642751, rel=1e-8)
-        assert true_error_kernel(2, 0.0, -0.5, 3.0) == pytest.approx(
-            0.0010398433736404848139, rel=1e-8)
-
-    def test_tracks_estimate(self):
-        ratios = []
-        for n in range(2, 9):
-            exact = true_error_kernel(n, 0.0, 0.0, 3.0)
-            est = error_kernel_estimate(ErrorKernelQuery(n, 0.0, 0.0, 3.0))
-            ratios.append(exact / est)
-        assert 0.5 <= ratios[-1] <= 2.0
-        gaps = [abs(1.0 - r) for r in ratios]
-        assert all(x > y for x, y in zip(gaps, gaps[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            true_error_kernel(9, 0.0, 0.0, 3.0)
-        with pytest.raises(ValueError):
-            true_error_kernel(2, 0.0, 0.0, 0.9)
-        with pytest.raises(ValueError):
-            true_error_kernel(2, -1.1, 0.0, 3.0)
 
 
 class TestOptimalEll:

@@ -8,11 +8,11 @@ from fracsum.kernel import compress, select_parameters
 from fracsum.oracle import conv_const_exact, mlf_exact_solution
 from fracsum.problems import mittag_leffler_problem, van_der_pol_problem
 from fracsum.solver import (
+    NEWTON_MAX_ITER,
     FDEProblem,
     SolverConfig,
     StepFailureError,
     _trapezoid_factors,
-    dump_trajectory,
     solve,
 )
 
@@ -173,12 +173,16 @@ class TestSolve:
         assert np.all(np.diff(traj.states[:, 0]) <= 1e-12)
 
     def test_step_failure_reports_index(self):
+        # a zero Jacobian for the rhs -2u/c0 makes each Newton correction
+        # double the residual, so the iteration never converges
+        c0 = 0.1 ** 0.5 / math.gamma(2.5)
         problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
-                             rhs=lambda t, u: np.exp(10.0 * u))
-        with pytest.raises(StepFailureError) as failure:
-            solve(problem, SolverConfig(h=0.5, eps_kernel=1e-4, newton_max_iter=1))
+                             rhs=lambda t, u: -2.0 * u / c0,
+                             jacobian=lambda t, u: np.zeros((1, 1)))
+        with pytest.raises(StepFailureError, match="did not reach") as failure:
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert failure.value.step_index == 0
-        assert len(failure.value.residuals) >= 1
+        assert len(failure.value.residuals) == NEWTON_MAX_ITER + 1
 
     def test_singular_newton_matrix_reports_index(self):
         # rhs u/c0 makes the Newton matrix 1 - c0 * (1/c0) exactly zero
@@ -252,20 +256,6 @@ class TestSolve:
         assert peak <= trajectory_bytes + 128 * 1024
 
 
-class TestTrajectoryExport:
-    def test_round_trip_rows(self):
-        problem = constant_problem(alpha=0.4, dim=2, T=0.3)
-        traj = solve(problem, SolverConfig(h=0.1, eps_kernel=1e-4))
-        text = dump_trajectory(traj)
-        rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert len(rows) == len(traj.times)
-        t, v0, v1, iters = rows[-1].split()
-        assert float(t) == traj.times[-1]
-        assert float(v0) == traj.states[-1, 0]
-        assert float(v1) == traj.states[-1, 1]
-        assert int(iters) == traj.newton_iterations[-1]
-
-
 class TestValidation:
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -280,10 +270,6 @@ class TestValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(h=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(h=0.1, newton_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(h=0.1, newton_max_iter=0)
 
     def test_van_der_pol_validation(self):
         with pytest.raises(ValueError):

@@ -94,13 +94,17 @@ def _sine_factor_ld(alpha: float):
         return _LD(mp.nstr(mp.sin(mp.pi * mp.mpf(alpha)) / mp.pi, 25))
 
 
-def _validate_compress_args(alpha, delta, T, K, J):
+def _validate_window(alpha, delta, T):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must be in (0, 1), got {alpha}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"offset must be positive and finite, got {delta}")
     if not delta < T < math.inf:
         raise ValueError(f"horizon must be finite and exceed the offset, got T={T}, delta={delta}")
+
+
+def _validate_compress_args(alpha, delta, T, K, J):
+    _validate_window(alpha, delta, T)
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
         raise ValueError(f"interval index must be an integer, got {K!r}")
     if not 0 <= K <= MAX_INTERVAL_INDEX:
@@ -208,10 +212,7 @@ def select_parameters(alpha: float, delta: float, T: float, eps: float) -> tuple
     """
     if not 1e-14 <= eps <= 0.5:
         raise ValueError(f"tolerance must lie in [1e-14, 0.5], got {eps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must be in (0, 1), got {alpha}")
-    if not 0.0 < delta < T:
-        raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
+    _validate_window(alpha, delta, T)
     target = eps / 2.0
     # eps >= 1e-14 makes the target >= 5e-15, which J = 10 already meets
     J = next(J for J in range(1, MAX_NODES + 1) if quadrature_term(J) <= target)

@@ -53,6 +53,13 @@ class TestCompressCommand:
                        "--T", "1e2", "--K", "3"])
         assert code == 2
 
+    def test_infinite_horizon_exit_code(self, tmp_path):
+        # tolerance-driven selection rejects it as explicit --K/--J already do
+        code, _ = run(tmp_path, "inf.txt",
+                      ["compress", "--alpha", "0.5", "--delta", "1e-4",
+                       "--T", "inf", "--eps", "1e-8"])
+        assert code == 2
+
 
 class TestScanCommand:
     def test_summary_matches_column(self, tmp_path):

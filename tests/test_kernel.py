@@ -220,6 +220,11 @@ class TestSelectParameters:
         with pytest.raises(ValueError):
             select_parameters(0.5, 2.0, 1.0, 1e-6)
 
+    def test_infinite_horizon_rejected(self):
+        # an infinite horizon makes delta/T = 0, which no K can truncate
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            select_parameters(0.5, 1e-4, math.inf, 1e-8)
+
 
 class TestRelativeErrorScan:
     def test_grid_and_maximum(self):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from scipy.special import roots_jacobi
 
 from fracsum.quadrature import (
-    _monic_coefficients,
     _polish,
+    _recurrence,
     _rule_extended,
     contour_bound,
     gauss_jacobi_rule,
@@ -140,10 +142,15 @@ class TestRuleConstruction:
             assert math.fsum(rule.weights) == pytest.approx(mu0, rel=1e-12)
 
     @pytest.mark.parametrize("n,a,b", [(7, 0.0, 0.0), (13, 10.0, 10.0), (16, 0.0, -0.5),
-                                       (20, 2.5, -0.7), (30, 0.0, -0.999)])
+                                       (20, 2.5, -0.7), (30, 0.0, -0.999),
+                                       (64, 0.0, -0.999), (1, 0.0, -0.3)]
+                             # the first-interval rules compress builds, at
+                             # short and full binary expansions of the order
+                             + [(J, 0.0, -alpha) for alpha in (0.05, 0.95, math.sqrt(0.5))
+                                for J in range(3, 11)])
     def test_correctly_rounded(self, n, a, b):
         # the long-double rule is the rounded 60-digit rule; a node that is 0
-        # (odd symmetric rules) only has to vanish at the 40-digit working precision
+        # (odd symmetric rules) only has to vanish below 1e-40
         nodes, weights = _rule_extended(n, a, b)
         ref_nodes, ref_weights = reference_rule(n, a, b)
         zero = ref_nodes == 0
@@ -153,11 +160,27 @@ class TestRuleConstruction:
 
     def test_polish_gives_up(self):
         # a seed far outside [-1, 1] cannot converge in the step budget
-        alphas, betas = _monic_coefficients(3, 0.0, 0.0)
-        with mp.workdps(40):
-            sqb = [mp.sqrt(v) for v in betas]
-            with pytest.raises(RuntimeError, match="did not converge"):
-                _polish(alphas, betas, sqb, 100.0, 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _polish(*_recurrence(3, 0.0, 0.0), 100.0)
+
+    def test_thread_safety(self):
+        # the integer polish takes no lock: 16 cold rules built from 4 threads
+        # must equal the same rules built one after another in a fresh cache
+        keys = [(n, 0.0, -0.05 * i - 0.013) for i, n in enumerate(range(3, 19))]
+        _rule_extended.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(_rule_extended, *key) for key in keys]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        _rule_extended.cache_clear()
+        for key, (nodes, weights) in zip(keys, threaded):
+            ref_nodes, ref_weights = _rule_extended(*key)
+            assert np.array_equal(nodes, ref_nodes), key
+            assert np.array_equal(weights, ref_weights), key
 
     def test_domain(self):
         for bad in [(0, 0.0, 0.0), (65, 0.0, 0.0), (-2, 0.0, 0.0)]:

@@ -23,8 +23,8 @@ from io import StringIO
 import mpmath as mp
 import numpy as np
 
-from .quadrature import MAX_NODES, _rule_extended
-from .specialfn import _MP_LOCK, regularized_upper_gamma
+from .quadrature import MAX_NODES, _MP_LOCK, _rule_extended
+from .specialfn import regularized_upper_gamma
 
 __all__ = [
     "ExponentialSum",

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import decimal
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from .specialfn import _MP_LOCK
 
 __all__ = [
     "QuadratureRule",
@@ -44,6 +43,15 @@ _ONE = 1 << _BITS
 _NEWTON_MAX = 6
 _NEWTON_DONE = int(1e-25 * _ONE)
 
+# Entries kept per cache; a rule takes about 1 KB.  A caller that returns to a
+# few orders while some hundreds of one-off orders pass in between still finds
+# its rules cached.
+_CACHE_SIZE = 1024
+
+# The arbitrary-precision context is process-global; every block that changes
+# its precision serializes on this (reentrant, since such blocks nest).
+_MP_LOCK = threading.RLock()
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -56,7 +64,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _zeroth_moment(a: float, b: float):
     """Integral of the weight over [-1, 1]: 2^(a+b+1) B(a+1, b+1), as mpf."""
     with _MP_LOCK, mp.workdps(40):
@@ -115,7 +123,7 @@ def _polish(alphas, cs, gs, seed: float):
     raise RuntimeError(f"Newton polish did not converge (n={len(alphas)}, seed={seed})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Long-double nodes and weights, accurate to the long-double rounding level."""
     alphas, cs, gs = _recurrence(n, a, b)

@@ -11,6 +11,7 @@ from fracsum.quadrature import (
     _polish,
     _recurrence,
     _rule_extended,
+    _zeroth_moment,
     contour_bound,
     gauss_jacobi_rule,
     optimal_ell,
@@ -181,6 +182,17 @@ class TestRuleConstruction:
             ref_nodes, ref_weights = _rule_extended(*key)
             assert np.array_equal(nodes, ref_nodes), key
             assert np.array_equal(weights, ref_weights), key
+
+    def test_caches_bounded(self):
+        # one order more than the bound evicts instead of growing
+        bound = _rule_extended.cache_info().maxsize
+        assert _zeroth_moment.cache_info().maxsize == bound
+        for i in range(bound + 1):
+            _rule_extended(1, 0.0, -0.5 * i / bound - 0.1)
+        assert _rule_extended.cache_info().currsize <= bound
+        assert _zeroth_moment.cache_info().currsize <= bound
+        _rule_extended.cache_clear()
+        _zeroth_moment.cache_clear()
 
     def test_domain(self):
         for bad in [(0, 0.0, 0.0), (65, 0.0, 0.0), (-2, 0.0, 0.0)]:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fracsum import specialfn
 from fracsum.specialfn import (
     log_gamma,
     mittag_leffler,
@@ -56,6 +55,49 @@ ML_TABLE = [
     (0.7, 3j, -0.089378808595975447137 + 0.063156248709351747563j),
     (0.8, 3.623898318388478j, -0.034885197760033914016 - 0.13059735470867477704j),
 ]
+
+
+# A zero of E_1/2(z) = exp(z^2) erfc(-z), from mpmath.findroot at 30 digits.
+ML_HALF_ZERO = 1.35481012811200624889985054089 - 1.99146684283387957728215784262j
+
+
+def series_feasible(alpha, z):
+    # the largest series term is about exp(|z|^(1/alpha)): 43 digits at most
+    return abs(z) ** (1 / alpha) <= 100.0
+
+
+def series_reference(alpha, z):
+    """E_alpha(z) from the defining series in mpmath, 40 digits beyond the
+    largest term, which cancellation wipes out."""
+    k_peak = abs(z) ** (1 / alpha) / alpha
+    peak = max(k * math.log10(abs(z)) - math.lgamma(alpha * k + 1) / math.log(10)
+               for k in range(int(2 * k_peak) + 2)) if z else 0.0
+    with mp.workdps(40 + int(peak)):
+        a, zm = mp.mpf(alpha), mp.mpc(z)
+        s, t, k = mp.mpc(0), mp.mpc(1), 0
+        while True:
+            term = t * mp.rgamma(a * k + 1)
+            s += term
+            if k > k_peak and abs(term) < mp.mpf(10) ** -50 * abs(s):
+                return complex(s)
+            t *= zm
+            k += 1
+
+
+def contour_reference(alpha, z):
+    """E_alpha(z) where |arg z| >= alpha pi, so the integrand has no pole: the
+    Bromwich integral on the parabola s = (1 + iu)^2 by 30-digit mpmath.quad."""
+    assert abs(cmath.phase(z)) >= alpha * math.pi
+    with mp.workdps(30):
+        a, zm = mp.mpf(alpha), mp.mpc(z)
+
+        def integrand(u):
+            w = 1 + 1j * u
+            s = w * w
+            return mp.exp(s) * s ** (a - 1) / (s ** a - zm) * w
+
+        # |e^s| = e^(1 - u^2) is below e^-99 past |u| = 10
+        return complex(mp.quad(integrand, mp.linspace(-10, 10, 5)) / mp.pi)
 
 
 class TestLogGamma:
@@ -167,15 +209,16 @@ class TestMittagLeffler:
         assert vals[0] == pytest.approx(0.42758357615580700441, rel=1e-10)
 
     def test_cancelling_point_is_not_cast(self):
-        # the extended-precision total here lies beyond float64 range; the
-        # point is redone in arbitrary precision, so no overflowing cast
+        # the series of this point cancels from terms near e^900; the contour
+        # sum has no such terms and must not warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = mittag_leffler(0.5, -30.0)
         # E_1/2(-x) is the Faddeeva function at ix
         assert got == pytest.approx(special.wofz(30j), rel=1e-10)
 
-    # the costliest fallback points of the benchmark's Mittag-Leffler grids
+    # the costliest points of the benchmark's Mittag-Leffler grids for the
+    # arbitrary-precision series fallback that the contour replaced
     @pytest.mark.parametrize("alpha,z", [
         (0.307, -2.76 + 0j),
         (0.302, -4.23 + 0j),
@@ -184,34 +227,20 @@ class TestMittagLeffler:
         (0.7, 3 * 4 ** 0.7 + 0j),
     ])
     def test_fallback_matches_series(self, alpha, z):
-        # 60 digits beyond the largest term, which cancellation wipes out
-        k_peak = abs(z) ** (1 / alpha) / alpha
-        peak = max(k * math.log10(abs(z)) - math.lgamma(alpha * k + 1) / math.log(10)
-                   for k in range(int(2 * k_peak) + 2))
-        with mp.workdps(60 + int(peak)):
-            a, zm = mp.mpf(alpha), mp.mpc(z)
-            s, k = mp.mpc(0), 0
-            while True:
-                t = zm ** k / mp.gamma(a * k + 1)
-                s += t
-                if k > k_peak and abs(t) < mp.mpf(10) ** -70 * abs(s):
-                    break
-                k += 1
-            expected = complex(s)
-        peak_log, k_end = specialfn._series_profile(alpha, abs(z))
-        got = specialfn._mpmath_point(alpha, z, peak_log, k_end)
-        assert abs(got - expected) <= 1e-13 * abs(expected)
+        expected = series_reference(alpha, z)
+        assert abs(mittag_leffler(alpha, z) - expected) <= 1e-13 * abs(expected)
 
-    # terms past extended range: summing them gave -inf, -inf and nan+infj
+    # the series terms here overflow extended precision, so the series
+    # evaluator rejected them; the contour sum computes them
     @pytest.mark.parametrize("alpha,z", [(0.39, -40.0), (0.37, -40.0), (0.39, 40j)])
     def test_overflowing_terms_rejected(self, alpha, z):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="outside the supported domain"):
-                mittag_leffler(alpha, z)
+            got = mittag_leffler(alpha, z)
+        expected = contour_reference(alpha, z)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
 
-    # E_1/2(z) ~ 2 exp(z^2): e^1600 from the extended sum, and e^714 from the
-    # fallback, since the extended sum of the second point is ill-conditioned
+    # E_1/2(z) ~ 2 exp(z^2): e^1600 and e^714
     @pytest.mark.parametrize("z", [40.0, 27 * cmath.exp(0.1j)])
     def test_value_beyond_float64_rejected(self, z):
         with warnings.catch_warnings():
@@ -219,8 +248,15 @@ class TestMittagLeffler:
             with pytest.raises(ValueError, match="float64 range"):
                 mittag_leffler(0.5, z)
 
-    def test_fallback_at_origin(self):
-        assert specialfn._mpmath_point(0.5, 0j, 0.0, 64) == 1.0 + 0j
+    # E_1/2(z) ~ 2 exp(z^2) just inside float64 range: the residue and its
+    # error estimate must not overflow
+    @pytest.mark.parametrize("z", [26.55, 26.6 + 0.01j, math.sqrt(709.0)])
+    def test_value_near_float64_limit(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mittag_leffler(0.5, z)
+        expected = special.wofz(-1j * z)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -229,33 +265,68 @@ class TestMittagLeffler:
             mittag_leffler(1.2, 1.0)
         with pytest.raises(ValueError):
             mittag_leffler(0.5, 41.0)
-        # series infeasible: tiny order at large argument
-        with pytest.raises(ValueError):
-            mittag_leffler(0.05, -39.0)
-
-    def test_gamma_ratio_table(self):
-        # one gamma per index carried from the last; the table, grown in two
-        # steps, must equal the ratio of two fresh 30-digit gammas
-        alpha = 0.4375
-        specialfn._ratio_cache.pop(alpha, None)
-        specialfn._gamma_ratios(alpha, 64)
-        table = specialfn._gamma_ratios(alpha, 256)
-        with mp.workdps(30):
-            a = mp.mpf(alpha)
-            for k in (0, 1, 2, 63, 64, 65, 255):
-                ref = np.longdouble(mp.nstr(mp.gamma(a * k + 1) / mp.gamma(a * (k + 1) + 1), 25))
-                assert table[k] == ref, k
+        # a tiny order at large argument is inside the domain: the series
+        # needs about 1e33 terms there, the contour sum does not
+        expected = contour_reference(0.05, -39.0)
+        assert abs(mittag_leffler(0.05, -39.0) - expected) <= 1e-10 * abs(expected)
 
     def test_thread_safety(self):
-        # the arbitrary-precision fallback serializes on a shared lock; hammer
-        # it from several threads (fresh caches) and compare against serial
+        # the evaluator keeps no state; hammer it from several threads and
+        # compare against serial
         from concurrent.futures import ThreadPoolExecutor
 
         points = [(0.3 + 0.07 * i, complex(-3.0 - 0.5 * i, 0.3 * i)) for i in range(10)]
         serial = [mittag_leffler(a, z) for a, z in points]
-        specialfn._ratio_cache.clear()
-        specialfn._fixed_ratio_cache.clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda p: mittag_leffler(*p), points * 4))
         for i, got in enumerate(threaded):
             assert got == serial[i % 10]
+
+    def test_random_disc(self):
+        # seeded points of the disc |z| <= 40 with alpha in [0.05, 1]: each is
+        # within 1e-10 of the series where the series is feasible, or raises
+        # ValueError; none is inf or nan.  Besides values past float64 range,
+        # few raise
+        rng = np.random.default_rng(2015)
+        compared = unresolved = 0
+        for _ in range(600):
+            alpha = float(rng.uniform(0.05, 1.0))
+            z = 40 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            try:
+                got = mittag_leffler(alpha, z)
+            except ValueError as err:
+                unresolved += "float64 range" not in str(err)
+                continue
+            assert cmath.isfinite(got), (alpha, z)
+            if series_feasible(alpha, z):
+                compared += 1
+                expected = series_reference(alpha, z)
+                assert abs(got - expected) <= 1e-10 * abs(expected), (alpha, z)
+        assert compared >= 150
+        assert unresolved <= 6
+
+    # next to a zero of E_1/2, where the value cancels to nothing
+    @pytest.mark.parametrize("offset", [1e-2, 1e-3j, -1e-4, 1e-6j, 1e-9])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_near_zero_resolved_or_raises(self, offset, conjugate):
+        z = ML_HALF_ZERO + offset
+        z = z.conjugate() if conjugate else z
+        try:
+            got = mittag_leffler(0.5, z)
+        except ValueError:
+            assert abs(offset) < 1e-3  # the farther points must resolve
+            return
+        expected = special.wofz(-1j * z)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    # E_alpha(-30) for alpha near 1 is e^-30 plus about (1 - alpha)/30
+    @pytest.mark.parametrize("alpha", [1 - 1e-8, 1 - 1e-4, 1 - 1e-2])
+    @pytest.mark.parametrize("z", [-30.0, -30.0 + 1j])
+    def test_order_near_one_resolved_or_raises(self, alpha, z):
+        try:
+            got = mittag_leffler(alpha, z)
+        except ValueError:
+            return
+        expected = series_reference(alpha, z)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
+

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from io import StringIO
 
 import mpmath as mp
@@ -44,13 +45,16 @@ __all__ = [
 MAX_INTERVAL_INDEX = 200
 
 _LD = np.longdouble
+_PI_LD = _LD("3.141592653589793238462643383279502884")  # 37 digits
 _RHO2 = (3.0 + math.sqrt(8.0)) ** 2  # squared convergence factor, ~33.97
 
 # relative_error_scan takes this many grid points at a time (a 64 x P long
-# double buffer, 0.4 MB at P = 400) and squares at most this many
-# exponentials in a row before calling exp again.
+# double buffer, 0.4 MB at P = 400), takes square roots of e^(-x) only up to
+# this x (e^(-x) is a normal long double down to about e^-11355), and drops
+# what is bounded by 2^-80 of the kernel, less a margin of one nat.
 _SCAN_BLOCK = 64
-_SCAN_MAX_SQUARINGS = 3
+_SCAN_ROOT_LIMIT = 11000.0
+_SCAN_DROP_LOG = -80.0 * math.log(2.0) - 1.0
 
 
 class InfeasibleToleranceError(Exception):
@@ -89,9 +93,13 @@ class ErrorEstimate:
 
 
 def _sine_factor_ld(alpha: float):
-    """sin(pi alpha)/pi as a long double, seeded at 25 digits."""
-    with _MP_LOCK, mp.workdps(30):
-        return _LD(mp.nstr(mp.sin(mp.pi * mp.mpf(alpha)) / mp.pi, 25))
+    """sin(pi alpha)/pi as a long double.
+
+    sin(pi alpha) = sin(pi (1 - alpha)), and 1 - alpha is exact in float64
+    for alpha >= 1/2, so the argument stays in (0, pi/2] where sin is well
+    conditioned.
+    """
+    return np.sin(_PI_LD * _LD(min(alpha, 1.0 - alpha))) / _PI_LD
 
 
 def _validate_window(alpha, delta, T):
@@ -116,7 +124,11 @@ def _validate_compress_args(alpha, delta, T, K, J):
 
 
 def _build_arrays_ld(alpha: float, delta: float, T: float, K: int, J: int):
-    """Rates and coefficients in long-double working precision."""
+    """Rates and coefficients in long-double working precision.
+
+    Interval 0 carries the s^(-alpha) weight; intervals k = 1..K scale one
+    Gauss-Legendre rule by r_k = 2^(k-1)/(2T), as one outer product.
+    """
     xs0, ws0 = _rule_extended(J, 0.0, -alpha)
     alpha_ld = _LD(alpha)
     delta_ld = _LD(delta)
@@ -124,17 +136,13 @@ def _build_arrays_ld(alpha: float, delta: float, T: float, K: int, J: int):
     r0 = 1 / (2 * _LD(T))
     a0 = r0 * xs0 + r0
     b0 = sine * np.exp(-delta_ld * a0) * r0 ** (1 - alpha_ld) * ws0
-    rates = [a0]
-    coeffs = [b0]
-    if K >= 1:
-        xs, ws = _rule_extended(J, 0.0, 0.0)
-        for k in range(1, K + 1):
-            rk = _LD(2.0) ** (k - 1) / (2 * _LD(T))
-            ak = rk * xs + 3 * rk
-            bk = sine * np.exp(-delta_ld * ak) * ak ** (-alpha_ld) * rk * ws
-            rates.append(ak)
-            coeffs.append(bk)
-    return np.concatenate(rates), np.concatenate(coeffs)
+    if K == 0:
+        return a0, b0
+    xs, ws = _rule_extended(J, 0.0, 0.0)
+    r = (r0 * _LD(2.0) ** np.arange(K))[:, None]  # exact: powers of two times r0
+    a = r * xs + 3 * r
+    b = sine * np.exp(-delta_ld * a) * a ** (-alpha_ld) * r * ws
+    return np.concatenate([a0, a.ravel()]), np.concatenate([b0, b.ravel()])
 
 
 def compress(alpha: float, delta: float, T: float, K: int, J: int) -> ExponentialSum:
@@ -246,19 +254,23 @@ def _scan_grid(delta: float, T: float) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _square_depths(a: np.ndarray, J: int) -> np.ndarray:
-    """Per term, how many squarings lead to its exponential (0: call exp).
+@lru_cache(maxsize=32)
+def _scan_baseline(alpha: float, delta: float, T: float):
+    """What a scan needs of its window (alpha, delta, T), read-only.
 
-    Term p is the square of term p - J when its rate is exactly twice the
-    rate of term p - J (true of every interval k >= 2 that compress builds)
-    and the chain behind it holds fewer than _SCAN_MAX_SQUARINGS squarings.
+    The grid t, the exact kernel w(t) in long double, the shifts t - delta in
+    long double and float64 log w; about 40 KB a window.
     """
-    rates = a.tolist()
-    depth = [0] * len(rates)
-    for p in range(J, len(rates)):
-        if rates[p] == 2.0 * rates[p - J] and depth[p - J] < _SCAN_MAX_SQUARINGS:
-            depth[p] = depth[p - J] + 1
-    return np.array(depth)
+    ts = _scan_grid(delta, T)
+    with _MP_LOCK, mp.workdps(30):
+        inv_gamma = _LD(mp.nstr(1 / mp.gamma(mp.mpf(alpha)), 25))
+    tl = ts.astype(_LD)
+    w = tl ** (_LD(alpha) - 1) * inv_gamma
+    shift = tl - _LD(delta)
+    log_w = np.log(w).astype(float)
+    for arr in (ts, w, shift, log_w):
+        arr.flags.writeable = False
+    return ts, w, shift, log_w
 
 
 def relative_error_scan(S: ExponentialSum) -> tuple[float, np.ndarray]:
@@ -269,36 +281,65 @@ def relative_error_scan(S: ExponentialSum) -> tuple[float, np.ndarray]:
     is evaluated in extended precision so that measurement noise sits well
     below the certificate levels even at their smallest values.
 
-    Grid points are taken _SCAN_BLOCK at a time.  A term whose rate is exactly
-    twice that of the term J places earlier has exactly twice its argument, so
-    its exponential is that term's squared; chains hold at most
-    _SCAN_MAX_SQUARINGS squarings before exp is called again, and every other
-    term goes through exp.  With exp and each product good to 2^-64 relative,
-    every exponential is then within (2^4 - 1) 2^-64, about 8e-19, of its
-    exact value relative, and so is the sum of the positive terms, up to the
-    rounding of the sum itself.
+    Grid points are taken _SCAN_BLOCK at a time, and each interval's
+    exponentials fill one (point, node) slab.  When the rates of interval k
+    are exactly half those of interval k + 1 (every k >= 1 that compress
+    builds), the long-double arguments are too, so interval k's exponentials
+    are the square roots of interval k + 1's.  exp is called on the highest
+    interval a block keeps and on every interval that is not such a half; a
+    root is taken only from a slab whose arguments stay within
+    _SCAN_ROOT_LIMIT, where e^(-x) is a normal long double, and exp is
+    called otherwise.  A correctly rounded root halves the relative error it
+    receives and adds at most 2^-64, so with exp good to eps_exp every
+    exponential is within eps_exp + 2^-63, about 3 2^-64 or 1.6e-19, of the
+    exponential of its rounded argument, however long the chain.  The
+    products with b are summed pairwise per point in the order of the terms.
+
+    A block drops intervals c, c+1, ... when e^(-m_c s) sum_{q >= c} |b_q|
+    <= 2^-80 min w over the block, with m_c the smallest rate from interval
+    c on and s the end of the block where m_c s is smaller.  The bound comes
+    from the rates and the coefficient sums, never from the dropped
+    exponentials, so dropping moves each relative error by at most 2^-80,
+    about 8e-25.
+
+    The grid, w, the shifts and log w depend only on (alpha, delta, T) and
+    are cached for the last 32 windows.
     """
-    ts = _scan_grid(S.delta, S.T)
-    with _MP_LOCK, mp.workdps(30):
-        inv_gamma = _LD(mp.nstr(1 / mp.gamma(mp.mpf(S.alpha)), 25))
-    tl = ts.astype(_LD)
-    w = tl ** (_LD(S.alpha) - 1) * inv_gamma
-    a = S.a.astype(_LD)
-    b = S.b.astype(_LD)
-    shift = tl - _LD(S.delta)
-    depth = _square_depths(S.a, S.J)
-    levels = [np.flatnonzero(depth == d) for d in range(1, _SCAN_MAX_SQUARINGS + 1)]
+    ts, w, shift, log_w = _scan_baseline(S.alpha, S.delta, S.T)
+    J = S.J
+    a = S.a.reshape(-1, J)
+    a_ld = a.astype(_LD)
+    b_ld = S.b.astype(_LD).reshape(-1, J)
+    halves = np.append(np.all(2.0 * a[:-1] == a[1:], axis=1), False)
+    max_rate = np.abs(a).max(axis=1)
+    first = np.arange(0, len(ts), _SCAN_BLOCK)
+    last = np.minimum(first + _SCAN_BLOCK, len(ts)) - 1
+    s_lo = shift[first].astype(float)
+    s_hi = shift[last].astype(float)
+    # log of the bound on intervals c, c+1, ... per block; nonincreasing in c
+    min_rate = np.minimum.accumulate(a.min(axis=1)[::-1])[::-1]
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(np.cumsum(np.abs(S.b).reshape(-1, J).sum(axis=1)[::-1])[::-1])
+    exponent = np.minimum(np.multiply.outer(s_lo, min_rate), np.multiply.outer(s_hi, min_rate))
+    limit = log_w[last] + _SCAN_DROP_LOG  # w decreases, so its block minimum is last
+    # a nan bound keeps its intervals, so a nan term still reaches the result
+    kept = np.count_nonzero(~(log_tail - exponent <= limit[:, None]), axis=1)
+    root_ok = np.multiply.outer(s_hi, max_rate) <= _SCAN_ROOT_LIMIT
     rel = np.empty(len(ts))
-    for i in range(0, len(ts), _SCAN_BLOCK):
+    for i, c, ok in zip(first, kept, root_ok):
         rows = slice(i, i + _SCAN_BLOCK)
-        e = np.multiply.outer(-shift[rows], a)
-        np.exp(e, out=e, where=depth == 0)
-        for dst in levels:
-            src = e[:, dst - S.J]
-            e[:, dst] = np.multiply(src, src, out=src)
-        e *= b
-        s = e.sum(axis=1)
-        rel[rows] = abs(w[rows] - s) / w[rows]
+        neg_s = -shift[rows]
+        e = np.empty((c, len(neg_s), J), dtype=_LD)
+        for k in range(c - 1, -1, -1):
+            if k < c - 1 and halves[k] and ok[k + 1]:
+                np.sqrt(e[k + 1], out=e[k])
+            else:
+                np.multiply.outer(neg_s, a_ld[k], out=e[k])
+                np.exp(e[k], out=e[k])
+        terms = e.transpose(1, 0, 2).reshape(len(neg_s), -1)  # one row a point
+        terms *= b_ld[:c].ravel()
+        total = terms.sum(axis=1)
+        rel[rows] = abs(w[rows] - total) / w[rows]
     curve = np.column_stack([ts, rel])
     curve.flags.writeable = False
     return float(rel.max()), curve

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from fracsum.kernel import (
+    _rule_extended,
+    _scan_baseline,
+    _sine_factor_ld,
     ExponentialSum,
     InfeasibleToleranceError,
     compress,
@@ -18,6 +21,12 @@ from fracsum.kernel import (
     truncation_term,
 )
 from fracsum.oracle import kernel_direct
+
+
+def ld_to_mpf(x) -> mp.mpf:
+    """A long double as an mpf, exact at 40 digits or more."""
+    n, d = x.as_integer_ratio()
+    return mp.mpf(n) / d
 
 
 def interval_bounds(K, T):
@@ -126,6 +135,45 @@ class TestCompress:
             compress(0.5, 1e-3, 1.0, 2, 65)
         with pytest.raises(ValueError):
             compress(0.5, 1e-3, 1.0, 201, 2)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("K,J", [(0, 1), (1, 3), (2, 4), (24, 12)])
+    def test_matches_40_digit_composition(self, alpha, K, J):
+        # every rate and coefficient within one float64 ulp of the formulas
+        # composed at 40 digits from the same long-double rules
+        delta, T = 1e-4, 1e2
+        S = compress(alpha, delta, T, K, J)
+        with mp.workdps(40):
+            al, d = mp.mpf(alpha), mp.mpf(delta)
+            sine = mp.sin(mp.pi * al) / mp.pi
+            r0 = 1 / (2 * mp.mpf(T))
+            xs0, ws0 = _rule_extended(J, 0.0, -alpha)
+            rates = [r0 * (ld_to_mpf(x) + 1) for x in xs0]
+            coeffs = [sine * mp.exp(-d * a) * r0 ** (1 - al) * ld_to_mpf(w)
+                      for a, w in zip(rates, ws0)]
+            xs, ws = _rule_extended(J, 0.0, 0.0)
+            for k in range(1, K + 1):
+                r = mp.ldexp(r0, k - 1)
+                for x, w in zip(xs, ws):
+                    a = r * (ld_to_mpf(x) + 3)
+                    rates.append(a)
+                    coeffs.append(sine * mp.exp(-d * a) * a ** -al * r * ld_to_mpf(w))
+            for got, ref in [(S.a, rates), (S.b, coeffs)]:
+                ref = np.array([float(v) for v in ref])
+                assert np.all(np.abs(got - ref) <= np.spacing(ref)), (got, ref)
+
+    def test_sine_factor(self):
+        # within 4 2^-64 relative of sin(pi alpha)/pi at 40 digits, at the
+        # ends of (0, 1), on both sides of the reflection at 1/2 and at
+        # seeded points
+        rng = np.random.default_rng(2024)
+        alphas = [1e-300, 1e-8, 0.25, 0.5 - 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53]
+        alphas += rng.uniform(0.0, 1.0, 200).tolist()
+        for alpha in alphas:
+            with mp.workdps(40):
+                ref = mp.sin(mp.pi * mp.mpf(alpha)) / mp.pi
+                err = abs(ld_to_mpf(_sine_factor_ld(alpha)) - ref) / ref
+            assert err <= 4 * 2.0 ** -64, (alpha, float(err) * 2.0 ** 64)
 
     def test_overdeep_partition_rejected(self):
         # far beyond the truncation requirement the fastest damping factors
@@ -261,6 +309,23 @@ class TestRelativeErrorScan:
         assert ts[0] == delta and ts[-1] == T
         assert np.all(ts[1:] / ts[:-1] > 1.02)
 
+    def test_baseline_cache_bounded(self):
+        # one window more than the bound evicts instead of growing; a
+        # repeated window hits, and what it returns is read-only
+        _scan_baseline.cache_clear()
+        bound = _scan_baseline.cache_info().maxsize
+        for i in range(bound + 1):
+            _scan_baseline(0.1 + 0.8 * i / bound, 1e-2, 1.0)
+        assert _scan_baseline.cache_info().currsize <= bound
+        hits = _scan_baseline.cache_info().hits
+        arrays = _scan_baseline(0.9, 1e-2, 1.0)
+        assert _scan_baseline.cache_info().hits == hits + 1
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        _scan_baseline.cache_clear()
+
 
 def _non_doubled_sum() -> ExponentialSum:
     """A hand-built sum whose rates are nowhere exactly doubled."""
@@ -268,6 +333,21 @@ def _non_doubled_sum() -> ExponentialSum:
     a = S.a * np.repeat(1.0 + 0.01 * np.arange(S.K + 1), S.J)
     assert not np.any(a[S.J:] == 2.0 * a[:-S.J])
     return ExponentialSum(alpha=S.alpha, delta=S.delta, T=S.T, K=S.K, J=S.J, a=a, b=S.b)
+
+
+def _out_of_root_range_sum() -> ExponentialSum:
+    """A hand-built sum of doubled intervals whose top one reaches a s > 11000.
+
+    Eleven intervals, each of rates twice the one before and coefficients 1e-3,
+    are stacked on a built sum at delta = 1.  The first 64 grid points reach
+    t - delta = 10^(63/99) - 1, about 3.3, where the top rates pass 11000.
+    """
+    S = compress(0.5, 1.0, 1e2, 8, 4)
+    top = S.a[-S.J:]
+    a = np.concatenate([S.a] + [top * 2.0 ** m for m in range(1, 12)])
+    b = np.concatenate([S.b, np.full(11 * S.J, 1e-3)])
+    assert a.max() * (10.0 ** (63 / 99) - 1.0) > 11000.0 > a[-2 * S.J:-S.J].max() * 3.4
+    return ExponentialSum(alpha=S.alpha, delta=S.delta, T=S.T, K=S.K + 11, J=S.J, a=a, b=b)
 
 
 def _mp_relative_error(S: ExponentialSum, t: float):
@@ -286,12 +366,17 @@ def _mp_relative_error(S: ExponentialSum, t: float):
     pytest.param(compress(0.99, 1e-4, 1e2, 25, 12), id="alpha0.99"),
     pytest.param(compress(0.01, 1e-4, 1e2, 25, 12), id="alpha0.01"),
     pytest.param(compress(0.3, 1e-6, 1e2, 28, 12), id="alpha0.3-delta1e-6"),
+    pytest.param(compress(0.5, 1e-6, 1e2, 31, 12), id="suffix-dropped"),
     pytest.param(_non_doubled_sum(), id="non-doubled"),
+    pytest.param(_out_of_root_range_sum(), id="beyond-root-range"),
 ])
 def test_scan_matches_mpmath(S):
-    # squared exponentials of doubled rates keep the scan within about 1e-18
-    # of a 50-digit recomputation, plus the float64 rounding of the result
+    # exponentials taken as square roots down the doubled intervals, each
+    # within about 3 2^-64 relative, and the intervals a block drops, each
+    # below 2^-80 of the kernel, keep the scan within about 1e-18 of a
+    # 50-digit recomputation, plus the float64 rounding of the result
     _, curve = relative_error_scan(S)
+    assert np.all(np.isfinite(curve))
     for t, rel in curve[::7]:
         ref = float(_mp_relative_error(S, t))
         assert abs(rel - ref) <= 2e-18 + 2.3e-16 * ref, (t, rel, ref)

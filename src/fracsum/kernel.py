@@ -183,7 +183,7 @@ def compress(alpha: float, delta: float, T: float, K: int, J: int) -> Exponentia
 def eval_sum(S: ExponentialSum, t: float) -> float:
     """Value of the exponential sum at t >= 0, accumulated compensated in index order."""
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"evaluation time must be nonnegative, got {t}")
     return math.fsum(S.b * np.exp(-S.a * t))
 

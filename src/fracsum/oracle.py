@@ -3,7 +3,9 @@
 Everything here deliberately avoids the Gauss-Jacobi machinery under test:
 integrals go through adaptive Gauss-Kronrod quadrature (with endpoint
 singularities removed by a power substitution), and exact solutions come from
-the Mittag-Leffler series.  These paths favor correctness over speed.
+the contour evaluator of the Mittag-Leffler function.  These paths favor
+correctness over speed.  The quadratures import scipy.integrate when they first
+run, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .kernel import ExponentialSum
 from .specialfn import log_gamma, mittag_leffler
@@ -47,9 +48,9 @@ class TailQuery:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"order must be in (0, 1), got {self.alpha}")
-        if self.a < 0.0:
+        if not self.a >= 0.0:
             raise ValueError(f"lower limit must be nonnegative, got {self.a}")
-        if self.t < 1.0:
+        if not self.t >= 1.0:
             raise ValueError(f"evaluation time must be >= 1, got {self.t}")
 
 
@@ -62,7 +63,7 @@ def kernel_direct(alpha: float, t):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must be in (0, 1), got {alpha}")
     ts = np.asarray(t, dtype=float)
-    if np.any(ts <= 0.0):
+    if not np.all(ts > 0.0):
         raise ValueError("kernel argument must be positive")
     vals = np.exp((alpha - 1.0) * np.log(ts) - log_gamma(alpha))
     return float(vals) if np.isscalar(t) or ts.ndim == 0 else vals
@@ -75,6 +76,7 @@ def _singular_piece(exponent: float, t: float, upper: float,
     Substituting s = sigma^(1/(1+exponent)) flattens the endpoint singularity,
     leaving a constant times exp(-t sigma^m).
     """
+    from scipy import integrate
     m = 1.0 / (1.0 + exponent)
     upper_sigma = upper ** (1.0 + exponent)
     return integrate.quad(lambda sig: m * math.exp(-t * sig ** m),
@@ -94,7 +96,7 @@ def truncated_integral_W1(alpha: float, T_scaled: float, K: int, t: float) -> fl
         raise ValueError(f"rescaled horizon must exceed 1, got {T_scaled}")
     if K < 0:
         raise ValueError(f"interval index must be nonnegative, got {K}")
-    if t < 1.0:
+    if not t >= 1.0:
         raise ValueError(f"evaluation time must be >= 1, got {t}")
     upper = 2.0 ** K / T_scaled
     val, err = _singular_piece(-alpha, t, upper, 1e-12)
@@ -118,6 +120,7 @@ def tail_W2(query: TailQuery) -> float:
     if a == 0.0:
         val, err = _singular_piece(-alpha, t, s_max, 1e-12)
     else:
+        from scipy import integrate
         val, err = integrate.quad(lambda s: s ** -alpha * math.exp(-t * s),
                                   a, s_max,
                                   epsabs=0.0, epsrel=1e-12, limit=500)
@@ -133,7 +136,7 @@ def tail_W2(query: TailQuery) -> float:
 def conv_const_exact(S: ExponentialSum, t: float) -> float:
     """Closed-form convolution of the exponential sum with the constant 1."""
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return math.fsum(S.b * (-np.expm1(-S.a * t)) / S.a)
 

@@ -61,7 +61,7 @@ def regularized_upper_gamma(s: float, x: float) -> float:
     x = float(x)
     if not 0.0 < s <= _MAX_SHAPE:
         raise ValueError(f"shape parameter must be in (0, {_MAX_SHAPE}], got {s}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     return float(sc.gammaincc(s, x))
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fracsum
 
 PUBLIC_NAMES = [
@@ -41,3 +46,23 @@ def test_public_api_is_pinned():
     assert sorted(fracsum.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(fracsum, name) is not None
+
+
+# Only the oracle quadratures need scipy.integrate, which pulls in
+# scipy.optimize and scipy.sparse, about 20 MB of resident memory.
+_FOOTPRINT_SCRIPT = """
+import sys
+import fracsum, fracsum.cli
+heavy = {".".join(m.split(".")[:2]) for m in sys.modules}
+heavy &= {"scipy.integrate", "scipy.optimize", "scipy.sparse"}
+assert not heavy, heavy
+value = fracsum.truncated_integral_W1(0.5, 10.0, 3, 2.0)
+assert "scipy.integrate" in sys.modules and 0.0 < value < fracsum.kernel_direct(0.5, 2.0)
+"""
+
+
+def test_import_loads_no_quadrature_package():
+    src = str(Path(fracsum.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT], check=True,
+                   env=dict(os.environ, PYTHONPATH=path), timeout=60)

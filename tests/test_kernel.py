@@ -202,6 +202,9 @@ class TestEvalSum:
         S = compress(0.5, 1e-2, 5.0, 2, 2)
         with pytest.raises(ValueError):
             eval_sum(S, -1e-3)
+        with pytest.raises(ValueError):
+            eval_sum(S, math.nan)
+        assert eval_sum(S, math.inf) == 0.0
 
 
 class TestEstimators:

@@ -36,6 +36,9 @@ class TestKernelDirect:
         with pytest.raises(ValueError):
             kernel_direct(0.5, 0.0)
         with pytest.raises(ValueError):
+            kernel_direct(0.5, math.nan)
+        assert kernel_direct(0.5, math.inf) == 0.0
+        with pytest.raises(ValueError):
             kernel_direct(1.2, 1.0)
 
 
@@ -63,6 +66,8 @@ class TestTruncatedIntegral:
             truncated_integral_W1(0.5, 1e3, -1, 1.0)
         with pytest.raises(ValueError):
             truncated_integral_W1(0.5, 1e3, 3, 0.5)
+        with pytest.raises(ValueError):
+            truncated_integral_W1(0.5, 1e3, 3, math.nan)
 
 
 class TestTail:
@@ -122,6 +127,8 @@ class TestTail:
         with pytest.raises(ValueError):
             TailQuery(0.5, 1.0, 0.5)
         with pytest.raises(ValueError):
+            TailQuery(0.5, math.nan, 2.0)
+        with pytest.raises(ValueError):
             TailQuery(1.5, 1.0, 2.0)
 
 
@@ -142,6 +149,8 @@ class TestConvolutionWithConstant:
         S = compress(0.5, 1e-2, 5.0, 1, 1)
         with pytest.raises(ValueError):
             conv_const_exact(S, -1.0)
+        with pytest.raises(ValueError):
+            conv_const_exact(S, math.nan)
 
 
 class TestExactSolution:

@@ -157,6 +157,9 @@ class TestUpperIncompleteGamma:
             regularized_upper_gamma(60.0, 1.0)
         with pytest.raises(ValueError):
             regularized_upper_gamma(0.5, -1.0)
+        with pytest.raises(ValueError):
+            regularized_upper_gamma(0.5, math.nan)
+        assert regularized_upper_gamma(0.5, math.inf) == 0.0
 
 
 class TestMittagLeffler:

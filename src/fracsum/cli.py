@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .kernel import (
     InfeasibleToleranceError,
     compress,
@@ -32,12 +33,6 @@ from .kernel import (
 from .oracle import kernel_direct, mlf_exact_solution
 from .problems import mittag_leffler_problem, van_der_pol_problem
 from .solver import SolverConfig, StepFailureError, solve
-
-try:
-    from importlib.metadata import version as _dist_version
-    __version__ = _dist_version("fracsum")
-except Exception:  # pragma: no cover - not installed
-    __version__ = "0.1.0"
 
 _USAGE_EXIT = 2
 _INFEASIBLE_EXIT = 3

@@ -16,15 +16,15 @@ moderate constant; both are exposed and drive parameter selection.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from io import StringIO
 
-import mpmath as mp
 import numpy as np
 
-from .quadrature import MAX_NODES, _MP_LOCK, _rule_extended
+from .quadrature import MAX_NODES, _rule_extended
 from .specialfn import regularized_upper_gamma
 
 __all__ = [
@@ -55,6 +55,13 @@ _RHO2 = (3.0 + math.sqrt(8.0)) ** 2  # squared convergence factor, ~33.97
 _SCAN_BLOCK = 64
 _SCAN_ROOT_LIMIT = 11000.0
 _SCAN_DROP_LOG = -80.0 * math.log(2.0) - 1.0
+
+# Stirling's series for log Gamma: Bernoulli numbers B_2, B_4, ..., B_20 as
+# (numerator, denominator), and (1/2) log(2 pi) to 40 digits.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330))
+_HALF_LOG_2PI = decimal.Decimal("0.9189385332046727417803297364056176398614")
+_STIRLING_SHIFT = 30
 
 
 class InfeasibleToleranceError(Exception):
@@ -102,6 +109,38 @@ def _sine_factor_ld(alpha: float):
     return np.sin(_PI_LD * _LD(min(alpha, 1.0 - alpha))) / _PI_LD
 
 
+def _inverse_gamma_ld(alpha: float):
+    """1/Gamma(alpha) for alpha in (0, 1), rounded to 25 digits, as a long double.
+
+    Gamma(z) = Gamma(x) / (z (z+1) ... (z+29)) with x = z + 30, and log Gamma(x)
+    is Stirling's series (x - 1/2) log x - x + (1/2) log(2 pi) plus
+    B_2k / (2k (2k-1) x^(2k-1)) for k = 1..10, all in 40-digit decimal
+    arithmetic.  The series alternates, so its truncation error is below the
+    first omitted term, |B_22| / (22 21 x^21) < 1.3e-30 at x > 30; rounding
+    adds about 1e-38.  The 25-digit rounding is therefore that of the exact
+    value, except within 1.3e-30 relative of a rounding boundary.
+    """
+    with decimal.localcontext(decimal.Context(prec=40)):
+        z = decimal.Decimal(alpha)
+        x = z + _STIRLING_SHIFT
+        rising = z
+        for i in range(1, _STIRLING_SHIFT):
+            rising *= z + i
+        log_gamma = (x - decimal.Decimal("0.5")) * x.ln() - x + _HALF_LOG_2PI
+        inv_x2 = 1 / (x * x)
+        power = 1 / x
+        for k, (num, den) in enumerate(_BERNOULLI, start=1):
+            log_gamma += num * power / (den * 2 * k * (2 * k - 1))
+            power *= inv_x2
+        value = rising * (-log_gamma).exp()
+    return _LD(str(decimal.Context(prec=25).plus(value)))
+
+
+def _is_count(n, low: int) -> bool:
+    """Whether n is an integer (not a bool) of at least low."""
+    return (type(n) is int or isinstance(n, np.integer)) and n >= low
+
+
 def _validate_window(alpha, delta, T):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must be in (0, 1), got {alpha}")
@@ -113,14 +152,11 @@ def _validate_window(alpha, delta, T):
 
 def _validate_compress_args(alpha, delta, T, K, J):
     _validate_window(alpha, delta, T)
-    if not isinstance(K, (int, np.integer)) or isinstance(K, bool):
-        raise ValueError(f"interval index must be an integer, got {K!r}")
-    if not 0 <= K <= MAX_INTERVAL_INDEX:
-        raise ValueError(f"interval index must be in [0, {MAX_INTERVAL_INDEX}], got {K}")
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool):
-        raise ValueError(f"node count must be an integer, got {J!r}")
-    if not 1 <= J <= MAX_NODES:
-        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {J}")
+    if not (_is_count(K, 0) and K <= MAX_INTERVAL_INDEX):
+        raise ValueError(
+            f"interval index K must be an integer in [0, {MAX_INTERVAL_INDEX}], got {K!r}")
+    if not (_is_count(J, 1) and J <= MAX_NODES):
+        raise ValueError(f"node count J must be an integer in [1, {MAX_NODES}], got {J!r}")
 
 
 def _build_arrays_ld(alpha: float, delta: float, T: float, K: int, J: int):
@@ -129,7 +165,7 @@ def _build_arrays_ld(alpha: float, delta: float, T: float, K: int, J: int):
     Interval 0 carries the s^(-alpha) weight; intervals k = 1..K scale one
     Gauss-Legendre rule by r_k = 2^(k-1)/(2T), as one outer product.
     """
-    xs0, ws0 = _rule_extended(J, 0.0, -alpha)
+    xs0, ws0 = _rule_extended(J, -alpha)
     alpha_ld = _LD(alpha)
     delta_ld = _LD(delta)
     sine = _sine_factor_ld(alpha)
@@ -138,7 +174,7 @@ def _build_arrays_ld(alpha: float, delta: float, T: float, K: int, J: int):
     b0 = sine * np.exp(-delta_ld * a0) * r0 ** (1 - alpha_ld) * ws0
     if K == 0:
         return a0, b0
-    xs, ws = _rule_extended(J, 0.0, 0.0)
+    xs, ws = _rule_extended(J, 0.0)
     r = (r0 * _LD(2.0) ** np.arange(K))[:, None]  # exact: powers of two times r0
     a = r * xs + 3 * r
     b = sine * np.exp(-delta_ld * a) * a ** (-alpha_ld) * r * ws
@@ -188,14 +224,30 @@ def eval_sum(S: ExponentialSum, t: float) -> float:
     return math.fsum(S.b * np.exp(-S.a * t))
 
 
-def quadrature_term(J: int) -> float:
-    """Per-interval quadrature estimator: J (3+sqrt 8)^(-2J)."""
+# The estimators on checked arguments; select_parameters calls them in its loops.
+def _quadrature_term(J: int) -> float:
     return J * _RHO2 ** (-J)
 
 
-def truncation_term(alpha: float, eta: float, K: int) -> float:
-    """Neglected-tail estimator: regularized upper gamma of order 1-alpha at eta 2^K."""
+def _truncation_term(alpha: float, eta: float, K: int) -> float:
     return regularized_upper_gamma(1.0 - alpha, eta * 2.0 ** K)
+
+
+def quadrature_term(J: int) -> float:
+    """Per-interval quadrature estimator: J (3+sqrt 8)^(-2J), for an integer J >= 1."""
+    if not _is_count(J, 1):
+        raise ValueError(f"node count J must be an integer >= 1, got {J!r}")
+    return _quadrature_term(J)
+
+
+def truncation_term(alpha: float, eta: float, K: int) -> float:
+    """Neglected-tail estimator: regularized upper gamma of order 1-alpha at eta 2^K.
+
+    Requires an integer K >= 0; regularized_upper_gamma rejects the rest.
+    """
+    if not _is_count(K, 0):
+        raise ValueError(f"interval index K must be an integer >= 0, got {K!r}")
+    return _truncation_term(alpha, eta, K)
 
 
 def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> ErrorEstimate:
@@ -223,10 +275,10 @@ def select_parameters(alpha: float, delta: float, T: float, eps: float) -> tuple
     _validate_window(alpha, delta, T)
     target = eps / 2.0
     # eps >= 1e-14 makes the target >= 5e-15, which J = 10 already meets
-    J = next(J for J in range(1, MAX_NODES + 1) if quadrature_term(J) <= target)
+    J = next(J for J in range(1, MAX_NODES + 1) if _quadrature_term(J) <= target)
     eta = float(delta) / float(T)
     for K in range(0, MAX_INTERVAL_INDEX + 1):
-        if truncation_term(alpha, eta, K) <= target:
+        if _truncation_term(alpha, eta, K) <= target:
             break
     else:
         raise InfeasibleToleranceError(
@@ -262,10 +314,8 @@ def _scan_baseline(alpha: float, delta: float, T: float):
     long double and float64 log w; about 40 KB a window.
     """
     ts = _scan_grid(delta, T)
-    with _MP_LOCK, mp.workdps(30):
-        inv_gamma = _LD(mp.nstr(1 / mp.gamma(mp.mpf(alpha)), 25))
     tl = ts.astype(_LD)
-    w = tl ** (_LD(alpha) - 1) * inv_gamma
+    w = tl ** (_LD(alpha) - 1) * _inverse_gamma_ld(alpha)
     shift = tl - _LD(delta)
     log_w = np.log(w).astype(float)
     for arr in (ts, w, shift, log_w):

@@ -147,8 +147,8 @@ def mlf_exact_solution(alpha: float, lam: complex, t):
     Accepts scalar or array times (t >= 0); returns complex.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0):
-        raise ValueError("times must be nonnegative")
+    if not np.all(ts >= 0.0):
+        raise ValueError("times t must be nonnegative")
     z = complex(lam) * ts.astype(complex) ** alpha
     vals = mittag_leffler(alpha, z)
     return vals if ts.ndim else complex(np.asarray(vals).ravel()[0])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .solver import FDEProblem
@@ -16,6 +19,8 @@ def mittag_leffler_problem(alpha: float, lam: complex, T: float) -> FDEProblem:
     2-dimensional system over (real, imaginary) parts.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"rate lam must be finite, got {lam}")
     if lam.imag == 0.0:
         lr = lam.real
         return FDEProblem(
@@ -36,10 +41,10 @@ def van_der_pol_problem(alpha: float, mu: float, x0: float, y0: float,
     """Fractional Van der Pol oscillator as a first-order system.
 
     x' is driven by y and y by mu (1 - x^2) y - x, both through the fractional
-    derivative of order alpha; mu >= 0 is the damping constant.
+    derivative of order alpha; the damping constant mu is finite and >= 0.
     """
-    if mu < 0.0:
-        raise ValueError(f"damping constant must be nonnegative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"damping constant mu must be finite and nonnegative, got {mu}")
 
     def rhs(t, u):
         x, y = u

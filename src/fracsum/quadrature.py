@@ -1,4 +1,8 @@
-"""Gauss-Jacobi rules for the weight (1-x)^a (1+x)^b, and the contour bound.
+"""Gauss-Jacobi rules for the weight (1+x)^b, and the contour bound.
+
+The compressed kernel needs two weights only: (1+x)^(-alpha) on its first
+interval and the Legendre weight b = 0 on every later one, so the rules here
+are those of the Jacobi weight (1-x)^a (1+x)^b with a = 0.
 
 Nodes come from the symmetric tridiagonal eigenproblem built on the three-term
 recurrence (Golub-Welsch) and are then Newton-polished against the
@@ -7,25 +11,28 @@ long-double rule is correctly rounded.  Near-singular exponents (b close to
 -1) put a node very close to the endpoint where its weight is violently
 sensitive to node error, which is why the polish runs far beyond float64.
 
-The polish works in Python integers at scale 2^200.  a and b are binary
-floats, so every recurrence coefficient is an exact rational, rounded once to
-that scale.  The monic polynomials times 2^k stay bounded on [-1, 1], so each
-recurrence step adds about one unit of 2^-200 to the values.  Against an
-80-digit reference, the polished nodes of rules up to 64 points are within
-2e-54, far inside the 40 digits the 25-digit decimal conversion to long double
-needs.  The weights come from the Christoffel sum one Newton step before the
-final node and are within 1e-25 relative, far below long-double rounding.
+The polish works in Python integers at scale 2^200.  b is a binary float, so
+every recurrence coefficient is an exact rational, rounded once to that scale.
+The monic polynomials times 2^k stay bounded on [-1, 1], so each recurrence
+step adds about one unit of 2^-200 to the values.  Against an 80-digit
+reference, the polished nodes of rules up to 64 points are within 2e-54, far
+inside the 40 digits the 25-digit decimal conversion to long double needs.
+The weights come from the Christoffel sum one Newton step before the final
+node and are within 1e-25 relative, far below long-double rounding.
+
+The zeroth moment mu_0 = 2^(b+1)/(b+1) is taken in closed form, as
+exp((b+1) ln 2)/(b+1) in 40-digit decimal arithmetic, with b+1 formed from
+the exact decimal value of b.  Everything runs on numpy, scipy and the
+standard library.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -43,57 +50,50 @@ _ONE = 1 << _BITS
 _NEWTON_MAX = 6
 _NEWTON_DONE = int(1e-25 * _ONE)
 
-# Entries kept per cache; a rule takes about 1 KB.  A caller that returns to a
-# few orders while some hundreds of one-off orders pass in between still finds
-# its rules cached.
+# Entries kept in the rule cache; a rule takes about 1 KB.  A caller that
+# returns to a few orders while some hundreds of one-off orders pass in between
+# still finds its rules cached.
 _CACHE_SIZE = 1024
 
-# The arbitrary-precision context is process-global; every block that changes
-# its precision serializes on this (reentrant, since such blocks nest).
-_MP_LOCK = threading.RLock()
+_LN2 = decimal.Context(prec=40).ln(2)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """An n-point rule exact for polynomials of degree <= 2n-1 against the weight."""
+    """An n-point rule exact for polynomials of degree <= 2n-1 against (1+x)^b."""
 
     n: int
-    a: float
     b: float
     nodes: np.ndarray
     weights: np.ndarray
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _zeroth_moment(a: float, b: float):
-    """Integral of the weight over [-1, 1]: 2^(a+b+1) B(a+1, b+1), as mpf."""
-    with _MP_LOCK, mp.workdps(40):
-        am, bm = mp.mpf(a), mp.mpf(b)
-        return 2 ** (am + bm + 1) * mp.gamma(am + 1) * mp.gamma(bm + 1) / mp.gamma(am + bm + 2)
+def _zeroth_moment(b: float) -> decimal.Decimal:
+    """Integral of (1+x)^b over [-1, 1], 2^(b+1)/(b+1), to 40 digits."""
+    ctx = decimal.Context(prec=40)
+    b1 = ctx.add(decimal.Decimal(b), 1)
+    return ctx.divide(ctx.exp(ctx.multiply(b1, _LN2)), b1)
 
 
-def _recurrence(n: int, a: float, b: float):
+def _recurrence(n: int, b: float):
     """Fixed-point coefficients of the monic recurrence scaled by 2^k.
 
     With P_k the monic polynomials, Q_k = 2^k P_k satisfies
-    Q_{k+1} = 2 (x - alpha_k) Q_k - c_k Q_{k-1} with c_k = 4 beta_k.
+    Q_{k+1} = 2 (x - alpha_k) Q_k - c_k Q_{k-1} with c_k = 4 beta_k, where
+    alpha_k = b^2/(m (m+2)) and beta_k = k^2 (k+b)^2/(m^2 (m+1) (m-1)) with
+    m = 2k + b (alpha_0 = b/(b+2)).
     Returns alpha_0..alpha_{n-1}, c_0..c_{n-1} (c_0 = 0, unused) and the
     Christoffel factors g_k = 1/(c_1 ... c_k), all at scale 2^_BITS.  Each
     alpha_k and c_k is its exact rational rounded down once; g_k takes one
     rounding per factor.
     """
-    (A, da), (B, db) = a.as_integer_ratio(), b.as_integer_ratio()
-    D = max(da, db)  # a = A/D and b = B/D over a common power of two
-    A, B = A * (D // da), B * (D // db)
-    s = A + B
-    alphas, cs, gs = [((B - A) << _BITS) // (s + 2 * D)], [0], [_ONE]
+    B, D = b.as_integer_ratio()  # b = B/D
+    alphas, cs, gs = [(B << _BITS) // (B + 2 * D)], [0], [_ONE]
     for k in range(1, n):
-        m = 2 * k * D + s
-        alphas.append(((B - A) * (B + A) << _BITS) // (m * (m + 2 * D)))
-        # the factor (k + a + b)/(2k - 1 + a + b) is 1 at k = 1, where a + b = -1 makes it 0/0
-        r_num, r_den = (k * D + s, m - D) if k > 1 else (1, 1)
-        num = 16 * k * D * (k * D + A) * (k * D + B) * r_num
-        den = m * m * (m + D) * r_den
+        m = 2 * k * D + B
+        alphas.append((B * B << _BITS) // (m * (m + 2 * D)))
+        num = 16 * (k * D * (k * D + B)) ** 2
+        den = m * m * (m + D) * (m - D)
         cs.append((num << _BITS) // den)
         gs.append(gs[-1] * den // num)
     return alphas, cs, gs
@@ -124,14 +124,14 @@ def _polish(alphas, cs, gs, seed: float):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _rule_extended(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Long-double nodes and weights, accurate to the long-double rounding level."""
-    alphas, cs, gs = _recurrence(n, a, b)
+    alphas, cs, gs = _recurrence(n, b)
     seeds = eigh_tridiagonal(np.array([v / _ONE for v in alphas]),
                              np.sqrt(np.array([c / _ONE for c in cs[1:]])) / 2,
                              eigvals_only=True)
-    # mu_0 at the Christoffel sum's scale 2^600; exact, the 40-digit mpf has no bits that far down
-    mu0 = int(mp.ldexp(_zeroth_moment(a, b), 3 * _BITS))
+    # mu_0 at the Christoffel sum's scale 2^600, from its 40 digits
+    mu0 = int(decimal.Context(prec=40).multiply(_zeroth_moment(b), 1 << (3 * _BITS)))
     # each division is exact, rounded once to 25 digits, then read as long double
     ctx = decimal.Context(prec=25)
     nodes, weights = [], []
@@ -145,30 +145,29 @@ def _rule_extended(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """Nodes and weights of the n-point rule for the weight (1-x)^a (1+x)^b.
+def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
+    """Nodes and weights of the n-point rule for the weight (1+x)^b on [-1, 1].
 
-    Requires 1 <= n <= 64 and exponents in (-1, 10].
+    Requires 1 <= n <= 64 and b in (-1, 10].
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"node count must be an integer, got {n!r}")
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
-    a = float(a)
     b = float(b)
-    if not (-1.0 < a <= 10.0 and -1.0 < b <= 10.0):
-        raise ValueError(f"weight exponents must lie in (-1, 10], got a={a}, b={b}")
-    nodes_ld, weights_ld = _rule_extended(int(n), a, b)
+    if not -1.0 < b <= 10.0:
+        raise ValueError(f"weight exponent must lie in (-1, 10], got b={b}")
+    nodes_ld, weights_ld = _rule_extended(int(n), b)
     nodes = nodes_ld.astype(float)
     weights = weights_ld.astype(float)
     if not (np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
-        raise RuntimeError(f"node computation failed for (n={n}, a={a}, b={b})")
-    mu0 = float(_zeroth_moment(a, b))
+        raise RuntimeError(f"node computation failed for (n={n}, b={b})")
+    mu0 = float(_zeroth_moment(b))
     if not (np.all(weights > 0) and abs(math.fsum(weights) - mu0) <= 1e-12 * mu0):
-        raise RuntimeError(f"weight computation failed for (n={n}, a={a}, b={b})")
+        raise RuntimeError(f"weight computation failed for (n={n}, b={b})")
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(n=int(n), a=a, b=b, nodes=nodes, weights=weights)
+    return QuadratureRule(n=int(n), b=b, nodes=nodes, weights=weights)
 
 
 def contour_bound(J: int, ell: float) -> float:

@@ -69,6 +69,8 @@ class FDEProblem:
         u0 = np.asarray(self.u0, dtype=float)
         if u0.shape != (self.dim,):
             raise ValueError(f"initial state must have shape ({self.dim},), got {u0.shape}")
+        if not np.all(np.isfinite(u0)):
+            raise ValueError(f"initial state u0 must be finite, got {u0}")
         object.__setattr__(self, "u0", u0)
 
 

@@ -149,10 +149,11 @@ def mittag_leffler(alpha: float, z):
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
-    if zs.size and float(np.abs(zs).max()) > _ML_MAX_ABS_Z:
+    # a nan or inf z fails this test too
+    if zs.size and not float(np.abs(zs).max()) <= _ML_MAX_ABS_Z:
         raise ValueError(
-            f"|z| = {float(np.abs(zs).max()):.4g} exceeds the validated disc "
-            f"|z| <= {_ML_MAX_ABS_Z}"
+            f"argument z must lie in the validated disc |z| <= {_ML_MAX_ABS_Z}, "
+            f"got |z| = {float(np.abs(zs).max()):.4g}"
         )
     if alpha == 1.0:
         out = np.exp(zs)

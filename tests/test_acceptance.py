@@ -49,10 +49,10 @@ def report(name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_quadrature_exactness(moment_oracle):
     start = time.perf_counter()
     worst = 0.0
-    for a, b in [(0.0, 0.0), (0.0, -0.1), (0.0, -0.5), (0.0, -0.9)]:
-        moments = moment_oracle(a, b, 59)
+    for b in [0.0, -0.1, -0.5, -0.9]:
+        moments = moment_oracle(0.0, b, 59)
         for n in range(1, 31):
-            rule = gauss_jacobi_rule(n, a, b)
+            rule = gauss_jacobi_rule(n, b)
             powers = rule.nodes[None, :] ** np.arange(2 * n)[:, None]
             for m in range(2 * n):
                 got = math.fsum(rule.weights * powers[m])

@@ -49,13 +49,21 @@ def test_public_api_is_pinned():
 
 
 # Only the oracle quadratures need scipy.integrate, which pulls in
-# scipy.optimize and scipy.sparse, about 20 MB of resident memory.
+# scipy.optimize and scipy.sparse, about 20 MB of resident memory.  The
+# library never needs mpmath: with it blocked, a lazy import anywhere in a
+# cold compression, a scan, a rule or a solve raises ImportError.
 _FOOTPRINT_SCRIPT = """
 import sys
 import fracsum, fracsum.cli
 heavy = {".".join(m.split(".")[:2]) for m in sys.modules}
-heavy &= {"scipy.integrate", "scipy.optimize", "scipy.sparse"}
+heavy &= {"scipy.integrate", "scipy.optimize", "scipy.sparse", "mpmath"}
 assert not heavy, heavy
+sys.modules["mpmath"] = None
+S = fracsum.compress(0.4172635091, 1e-3, 10.0, 18, 5)
+assert 0.0 < fracsum.relative_error_scan(S)[0] < 1e-3
+assert fracsum.gauss_jacobi_rule(5, -0.3).n == 5
+traj = fracsum.solve(fracsum.mittag_leffler_problem(0.5, -1.0, 0.1), fracsum.SolverConfig(h=0.01))
+assert len(traj.times) == 11
 value = fracsum.truncated_integral_W1(0.5, 10.0, 3, 2.0)
 assert "scipy.integrate" in sys.modules and 0.0 < value < fracsum.kernel_direct(0.5, 2.0)
 """

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fracsum
 from fracsum.cli import main
 from fracsum.kernel import load_terms
 from fracsum.problems import mittag_leffler_problem, van_der_pol_problem
@@ -183,6 +184,11 @@ class TestExitCodes:
                       ["compress", "--alpha", "0.5", "--delta", "1e-70",
                        "--T", "1", "--eps", "1e-8"])
         assert code == 3
+
+    def test_version(self, capsys):
+        # the package's own version, which every output header also carries
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"fracsum {fracsum.__version__}\n"
 
     def test_bad_value(self, tmp_path):
         code, _ = run(tmp_path, "bad.txt",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracsum.kernel import (
+    _inverse_gamma_ld,
     _rule_extended,
     _scan_baseline,
     _sine_factor_ld,
@@ -147,11 +148,11 @@ class TestCompress:
             al, d = mp.mpf(alpha), mp.mpf(delta)
             sine = mp.sin(mp.pi * al) / mp.pi
             r0 = 1 / (2 * mp.mpf(T))
-            xs0, ws0 = _rule_extended(J, 0.0, -alpha)
+            xs0, ws0 = _rule_extended(J, -alpha)
             rates = [r0 * (ld_to_mpf(x) + 1) for x in xs0]
             coeffs = [sine * mp.exp(-d * a) * r0 ** (1 - al) * ld_to_mpf(w)
                       for a, w in zip(rates, ws0)]
-            xs, ws = _rule_extended(J, 0.0, 0.0)
+            xs, ws = _rule_extended(J, 0.0)
             for k in range(1, K + 1):
                 r = mp.ldexp(r0, k - 1)
                 for x, w in zip(xs, ws):
@@ -174,6 +175,17 @@ class TestCompress:
                 ref = mp.sin(mp.pi * mp.mpf(alpha)) / mp.pi
                 err = abs(ld_to_mpf(_sine_factor_ld(alpha)) - ref) / ref
             assert err <= 4 * 2.0 ** -64, (alpha, float(err) * 2.0 ** 64)
+
+    def test_inverse_gamma(self):
+        # bit for bit the 25-digit rounding of 1/Gamma(alpha) from 30-digit
+        # mpmath, read as long double, at the ends of (0, 1) and at seeded points
+        rng = np.random.default_rng(2026)
+        alphas = [1e-300, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+        alphas += rng.uniform(0.0, 1.0, 200).tolist()
+        for alpha in alphas:
+            with mp.workdps(30):
+                ref = np.longdouble(mp.nstr(1 / mp.gamma(mp.mpf(alpha)), 25))
+            assert _inverse_gamma_ld(alpha) == ref, alpha
 
     def test_overdeep_partition_rejected(self):
         # far beyond the truncation requirement the fastest damping factors
@@ -232,6 +244,12 @@ class TestEstimators:
             estimate_error(0.5, 1e-4, 1e2, 201, 7)
         with pytest.raises(ValueError):
             estimate_error(0.5, 1e-4, 1e2, 10, 0)
+        for J in (-2, 0, 2.5):
+            with pytest.raises(ValueError, match="node count J"):
+                quadrature_term(J)
+        for K in (-3, 2.0):
+            with pytest.raises(ValueError, match="interval index K"):
+                truncation_term(0.5, 0.01, K)
 
 
 class TestSelectParameters:

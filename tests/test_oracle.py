@@ -173,3 +173,5 @@ class TestExactSolution:
     def test_domain(self):
         with pytest.raises(ValueError):
             mlf_exact_solution(0.5, -1.0, -1.0)
+        with pytest.raises(ValueError, match="times t"):
+            mlf_exact_solution(0.5, -1.0, math.nan)

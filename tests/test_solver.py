@@ -266,6 +266,10 @@ class TestValidation:
             FDEProblem(alpha=0.5, dim=2, u0=np.array([1.0]), T=1.0, rhs=lambda t, u: u)
         with pytest.raises(ValueError):
             FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=-1.0, rhs=lambda t, u: u)
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            FDEProblem(alpha=0.5, dim=1, u0=np.array([math.nan]), T=1.0, rhs=lambda t, u: u)
+        with pytest.raises(ValueError, match="rate lam must be finite"):
+            mittag_leffler_problem(0.5, math.nan, 1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +278,8 @@ class TestValidation:
     def test_van_der_pol_validation(self):
         with pytest.raises(ValueError):
             van_der_pol_problem(0.8, -1.0, 2.0, 0.0, 5.0)
+        with pytest.raises(ValueError, match="damping constant mu"):
+            van_der_pol_problem(0.8, math.nan, 1.0, 0.0, 1.0)
 
 
 class TestBaseCases:

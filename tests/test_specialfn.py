@@ -268,6 +268,8 @@ class TestMittagLeffler:
             mittag_leffler(1.2, 1.0)
         with pytest.raises(ValueError):
             mittag_leffler(0.5, 41.0)
+        with pytest.raises(ValueError, match="argument z"):
+            mittag_leffler(0.5, math.nan)
         # a tiny order at large argument is inside the domain: the series
         # needs about 1e33 terms there, the contour sum does not
         expected = contour_reference(0.05, -39.0)

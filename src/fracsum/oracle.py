@@ -94,8 +94,8 @@ def truncated_integral_W1(alpha: float, T_scaled: float, K: int, t: float) -> fl
         raise ValueError(f"order must be in (0, 1), got {alpha}")
     if not T_scaled > 1.0:
         raise ValueError(f"rescaled horizon must exceed 1, got {T_scaled}")
-    if K < 0:
-        raise ValueError(f"interval index must be nonnegative, got {K}")
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 0:
+        raise ValueError(f"interval index must be a nonnegative integer, got {K!r}")
     if not t >= 1.0:
         raise ValueError(f"evaluation time must be >= 1, got {t}")
     upper = 2.0 ** K / T_scaled

@@ -47,11 +47,11 @@ def van_der_pol_problem(alpha: float, mu: float, x0: float, y0: float,
         raise ValueError(f"damping constant mu must be finite and nonnegative, got {mu}")
 
     def rhs(t, u):
-        x, y = u
+        x, y = u.tolist()
         return np.array([y, mu * (1.0 - x * x) * y - x])
 
     def jacobian(t, u):
-        x, y = u
+        x, y = u.tolist()
         return np.array([[0.0, 1.0],
                          [-2.0 * mu * x * y - 1.0, mu * (1.0 - x * x)]])
 

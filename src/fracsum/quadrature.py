@@ -172,6 +172,8 @@ def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
 
 def contour_bound(J: int, ell: float) -> float:
     """Per-interval convergence factor (3-ell)^-1 (ell+sqrt(ell^2-1))^(-2J)."""
+    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
+        raise ValueError(f"node count must be a positive integer, got {J!r}")
     if not 1.0 < ell < 3.0:
         raise ValueError(f"radius must lie in (1, 3), got {ell}")
     return (3.0 - ell) ** -1.0 * (ell + math.sqrt(ell * ell - 1.0)) ** (-2 * J)

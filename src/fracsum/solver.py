@@ -8,12 +8,20 @@ auxiliary variables psi_p solving psi' = -a_p psi + f with psi(0)=0, where
 history value is the weighted sum of the psi_p.  The auxiliary update is the
 trapezoidal rule, which is A-stable - necessary because the fastest rates a_p
 are of order 2^K/T.  Memory is O(dim * P) regardless of the step count.
+
+The step loop runs on Python floats, because at dim 1 or 2 the call overhead
+of numpy on arrays that small costs more than the arithmetic.  The trapezoidal
+recursion unrolls exactly over BLOCK steps, so the (dim, P) auxiliary array is
+touched by two matrix products a block, and each step adds a convolution of
+at most BLOCK - 1 past forcings.  Newton's linear system is solved by LU with
+partial pivoting written out for dim 1 and 2, and by LAPACK gesv beyond.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +43,10 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # fails the step after NEWTON_MAX_ITER corrections.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
+
+# The auxiliary variables advance once every BLOCK steps; the history in
+# between is a short convolution of the forcing on Python floats.
+BLOCK = 8
 
 
 class StepFailureError(RuntimeError):
@@ -112,6 +124,56 @@ def _trapezoid_factors(rates: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
     return (1.0 - x) / (1.0 + x), 0.5 * h / (1.0 + x)
 
 
+def _block_operators(decay: np.ndarray, gain: np.ndarray, coeffs: np.ndarray):
+    """Operators that advance the auxiliary variables BLOCK steps at a time.
+
+    For a block starting with auxiliary state Phi (dim, P) and forcing
+    F_j = f_j + f_(j+1), the history at step k of the block is
+    (Phi @ carry)[:, k] + sum_(j<k) lags[k-1-j] F_j, and the state after the
+    block is Phi * decay_block + F @ spread.  Here carry[p, k] = b_p d_p^k,
+    lags[i] = sum_p b_p g_p d_p^i, spread[j, p] = g_p d_p^(BLOCK-1-j) and
+    decay_block = d^BLOCK, with (d, g) the trapezoidal decay and gain.  The
+    powers of d come from pow, rounded once each, not from repeated products.
+    lag_rows[k] lists lags[k-1], ..., lags[0], to pair with F_0, ..., F_(k-1).
+    """
+    powers = decay ** np.arange(BLOCK + 1)[:, None]
+    carry = powers[:BLOCK] * coeffs
+    lags = (carry[:BLOCK - 1] @ gain).tolist()
+    lag_rows = [lags[k - 1::-1] if k else [] for k in range(BLOCK)]
+    spread = powers[BLOCK - 1::-1] * gain
+    return np.ascontiguousarray(carry.T), lag_rows, spread, powers[BLOCK]
+
+
+def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
+    """delta solving (I - c0 jac) delta = residual, or None if singular.
+
+    LU with partial pivoting, written out for dim 1 and 2 and LAPACK gesv
+    beyond; a pivot that is exactly zero means a singular matrix.
+    """
+    if len(residual) == 1:
+        m = 1.0 - c0 * np.asarray(jac, dtype=float).item()
+        return None if m == 0.0 else [residual[0] / m]
+    if len(residual) == 2:
+        (j00, j01), (j10, j11) = np.asarray(jac, dtype=float).tolist()
+        a00, a01, a10, a11 = 1.0 - c0 * j00, -c0 * j01, -c0 * j10, 1.0 - c0 * j11
+        r0, r1 = residual
+        if abs(a10) > abs(a00):
+            a00, a01, a10, a11, r0, r1 = a10, a11, a00, a01, r1, r0
+        if a00 == 0.0:
+            return None
+        # the multiplier scales by the reciprocal pivot, as getrf does
+        m = a10 * (1.0 / a00)
+        u11 = a11 - m * a01
+        if u11 == 0.0:
+            return None
+        d1 = (r1 - m * r0) / u11
+        return [(r0 - a01 * d1) / a00, d1]
+    dim = len(residual)
+    _, _, delta, info = dgesv(np.eye(dim) - c0 * np.asarray(jac, dtype=float),
+                              np.array(residual))
+    return None if info > 0 else delta.tolist()
+
+
 def _fd_jacobian(rhs, t, x, fx):
     d = len(x)
     jac = np.empty((d, d))
@@ -129,7 +191,8 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     The kernel is built once with offset delta = h and tolerance eps_kernel;
     the number of auxiliary variables P does not depend on the step count.
     Each step solves v = u0 + h^alpha (w0 f(t, v) + w1 f_n) + history by
-    Newton's method, then advances the auxiliary variables in place.
+    Newton's method on Python floats; the auxiliary variables advance once
+    every BLOCK steps (see _block_operators).
     Raises StepFailureError (with the failing index) if Newton stalls or its
     matrix is singular.
     """
@@ -138,33 +201,41 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
         raise ValueError(f"step size must be below the horizon, got h={h}, T={T}")
     K, J = select_parameters(alpha, h, T, config.eps_kernel)
     kernel = compress(alpha, h, T, K, J)
-    decay, gain = _trapezoid_factors(kernel.a, h)
-    coeffs = kernel.b
+    carry, lag_rows, spread, decay_block = _block_operators(
+        *_trapezoid_factors(kernel.a, h), kernel.b)
     ha = h ** alpha
     w0 = 1.0 / math.gamma(2.0 + alpha)
     c0 = ha * w0
     c1 = ha * (alpha * w0)
-    rhs, jacobian, u0, dim = problem.rhs, problem.jacobian, problem.u0, problem.dim
-    eye = np.eye(dim)
-    phi = np.zeros((dim, kernel.terms))
+    rhs, jacobian, dim = problem.rhs, problem.jacobian, problem.dim
+    u0 = problem.u0.tolist()
+    aux = np.zeros((dim, kernel.terms))
     n_steps = int(math.floor(T / h + 1e-9))
     times = np.arange(n_steps + 1, dtype=float) * h
     states = np.empty((n_steps + 1, dim))
     iterations = np.zeros(n_steps, dtype=int)
-    v = u0.copy()
-    states[0] = v
-    f_n = np.asarray(rhs(0.0, v), dtype=float)
+    states[0] = x = u0
+    f_n = np.asarray(rhs(0.0, problem.u0.copy()), dtype=float).tolist()
     rhs_calls, jacobian_calls = 1, 0
     for n in range(n_steps):
-        t = times[n] + h
-        base = c1 * f_n + phi @ coeffs + u0
-        x = v
+        k = n % BLOCK
+        if k == 0:
+            if n:
+                aux *= decay_block
+                aux += np.array(forcing) @ spread
+            history = (aux @ carry).tolist()
+            forcing = [[] for _ in range(dim)]
+        t = n * h + h
+        lags = lag_rows[k]
+        base = [c1 * f + (past[k] + sum(map(mul, lags, fs))) + u
+                for f, past, fs, u in zip(f_n, history, forcing, u0)]
         residuals = []
         for it in range(NEWTON_MAX_ITER + 1):
-            fx = np.asarray(rhs(t, x), dtype=float)
+            xa = np.array(x)
+            fa = np.asarray(rhs(t, xa), dtype=float)
+            fx = fa.tolist()
             rhs_calls += 1
-            residual = x - c0 * fx - base
-            res = residual.tolist()
+            res = [xi - c0 * fi - bi for xi, fi, bi in zip(x, fx, base)]
             # max() passes over a NaN that is not the first entry; the sum keeps it
             r = math.nan if math.isnan(sum(res)) else max(map(abs, res))
             residuals.append(r)
@@ -178,26 +249,25 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
                     step_index=n, residuals=tuple(residuals),
                 )
             if jacobian is None:
-                jac = _fd_jacobian(rhs, t, x, fx)
+                jac = _fd_jacobian(rhs, t, xa, fa)
                 rhs_calls += dim
             else:
-                jac = jacobian(t, x)
+                jac = jacobian(t, xa)
                 jacobian_calls += 1
-            _, _, delta, info = dgesv(eye - c0 * np.asarray(jac, dtype=float), residual)
-            if info > 0:
+            delta = _newton_correction(c0, jac, res)
+            if delta is None:
                 raise StepFailureError(
                     f"step {n} failed: singular Newton matrix at t={t:.6g}",
                     step_index=n, residuals=tuple(residuals),
                 )
-            x = x - delta
-        phi *= decay
-        phi += np.multiply.outer(f_n + fx, gain)
+            x = [xi - di for xi, di in zip(x, delta)]
+        for fs, f, fnew in zip(forcing, f_n, fx):
+            fs.append(f + fnew)
         iterations[n] = it
-        states[n + 1] = v = x
+        states[n + 1] = x
         f_n = fx
     states.flags.writeable = False
     times.flags.writeable = False
     iterations.flags.writeable = False
     return Trajectory(times=times, states=states, newton_iterations=iterations,
                       kernel=kernel, rhs_calls=rhs_calls, jacobian_calls=jacobian_calls)
-

@@ -64,6 +64,9 @@ class TestTruncatedIntegral:
             truncated_integral_W1(0.5, 0.5, 3, 1.0)
         with pytest.raises(ValueError):
             truncated_integral_W1(0.5, 1e3, -1, 1.0)
+        for K in (2.5, math.nan, False):
+            with pytest.raises(ValueError, match="interval index"):
+                truncated_integral_W1(0.5, 10.0, K, 2.0)
         with pytest.raises(ValueError):
             truncated_integral_W1(0.5, 1e3, 3, 0.5)
         with pytest.raises(ValueError):

@@ -233,3 +233,6 @@ class TestOptimalEll:
             optimal_ell(0)
         with pytest.raises(ValueError):
             contour_bound(3, 3.0)
+        for J in (-1, 0, 2.5, math.nan, True):
+            with pytest.raises(ValueError, match="node count"):
+                contour_bound(J, 2.0)

@@ -8,7 +8,9 @@ from fracsum.kernel import compress, select_parameters
 from fracsum.oracle import conv_const_exact, mlf_exact_solution
 from fracsum.problems import mittag_leffler_problem, van_der_pol_problem
 from fracsum.solver import (
+    BLOCK,
     NEWTON_MAX_ITER,
+    NEWTON_TOL,
     FDEProblem,
     SolverConfig,
     StepFailureError,
@@ -26,6 +28,37 @@ def phi_step(phi, forcing, rates, h):
     """One trapezoidal update of the auxiliary variables, as solve does it."""
     decay, gain = _trapezoid_factors(np.asarray(rates, dtype=float), h)
     return phi * decay + np.multiply.outer(forcing, gain)
+
+
+def reference_solve(problem, config):
+    """Per-step reference for solve: the history is phi @ b with phi advanced
+    by phi_step after every step, and Newton goes through numpy.linalg.solve."""
+    h, alpha = config.h, problem.alpha
+    K, J = select_parameters(alpha, h, problem.T, config.eps_kernel)
+    S = compress(alpha, h, problem.T, K, J)
+    c0 = h ** alpha * (1.0 / math.gamma(2.0 + alpha))
+    c1 = h ** alpha * (alpha / math.gamma(2.0 + alpha))
+    n_steps = int(math.floor(problem.T / h + 1e-9))
+    phi = np.zeros((problem.dim, S.terms))
+    states = [problem.u0]
+    iterations = []
+    f_n = problem.rhs(0.0, problem.u0.copy())
+    for n in range(n_steps):
+        t = n * h + h
+        base = c1 * f_n + phi @ S.b + problem.u0
+        x = states[-1]
+        for it in range(NEWTON_MAX_ITER + 1):
+            fx = problem.rhs(t, x.copy())
+            residual = x - c0 * fx - base
+            if np.abs(residual).max() <= NEWTON_TOL:
+                break
+            matrix = np.eye(problem.dim) - c0 * problem.jacobian(t, x.copy())
+            x = x - np.linalg.solve(matrix, residual)
+        phi = phi_step(phi, f_n + fx, S.a, h)
+        states.append(x)
+        iterations.append(it)
+        f_n = fx
+    return np.array(states), np.array(iterations)
 
 
 class TestPhiStep:
@@ -236,6 +269,62 @@ class TestSolve:
         np.testing.assert_array_equal(traj.kernel.a, S.a)
         np.testing.assert_array_equal(traj.kernel.b, S.b)
 
+    def test_blocked_history_matches_per_step_recursion(self):
+        # 201 steps, so the last block is partial
+        problem = van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 2.01)
+        config = SolverConfig(h=1e-2, eps_kernel=1e-8)
+        traj = solve(problem, config)
+        states, iterations = reference_solve(problem, config)
+        assert len(traj.newton_iterations) % BLOCK != 0
+        np.testing.assert_array_equal(traj.newton_iterations, iterations)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-13, atol=0)
+
+    def test_three_dimensional_block_diagonal_system(self):
+        # a real rate and a complex pair in one system, solved through gesv;
+        # each block follows its exact solution and its own lower-dim solve
+        alpha, lam, mu, h, T = 0.6, -1.5, -1 + 2j, 3e-3, 3.0
+        rates = np.array([[lam, 0.0, 0.0],
+                          [0.0, mu.real, -mu.imag],
+                          [0.0, mu.imag, mu.real]])
+        problem = FDEProblem(alpha=alpha, dim=3, u0=np.array([1.0, 1.0, 0.0]), T=T,
+                             rhs=lambda t, u: rates @ u,
+                             jacobian=lambda t, u: rates)
+        config = SolverConfig(h=h, eps_kernel=1e-8)
+        traj = solve(problem, config)
+        real = mlf_exact_solution(alpha, lam, traj.times).real
+        pair = mlf_exact_solution(alpha, mu, traj.times)
+        # 8.3e-4 in a reference run
+        assert np.abs(traj.states[:, 0] - real).max() <= 1e-3
+        assert np.abs(traj.states[:, 1] + 1j * traj.states[:, 2] - pair).max() <= 1e-3
+        apart = np.hstack([solve(mittag_leffler_problem(alpha, lam, T), config).states,
+                           solve(mittag_leffler_problem(alpha, mu, T), config).states])
+        np.testing.assert_allclose(traj.states, apart, rtol=0, atol=1e-14)
+
+    def test_zero_leading_entry_takes_row_swap(self):
+        # the Newton matrix [[0, -1], [2, 2]] is regular, but only after its
+        # rows are swapped; the same system with its components swapped needs
+        # no swap and must give the same trajectory
+        alpha, h = 0.5, 0.1
+        c0 = h ** alpha * (1.0 / math.gamma(2.0 + alpha))
+        assert 1.0 - c0 * (1.0 / c0) == 0.0
+        rates = np.array([[1.0, 1.0], [-2.0, -1.0]]) / c0
+        swapped = rates[::-1, ::-1].copy()
+        config = SolverConfig(h=h, eps_kernel=1e-6)
+
+        def linear(matrix, u0):
+            return FDEProblem(alpha=alpha, dim=2, u0=np.array(u0), T=1.0,
+                              rhs=lambda t, u: matrix @ u,
+                              jacobian=lambda t, u: matrix)
+
+        traj = solve(linear(rates, [1.0, 0.5]), config)
+        mirror = solve(linear(swapped, [0.5, 1.0]), config)
+        u0 = traj.states[0]
+        first = np.linalg.solve(np.eye(2) - c0 * rates,
+                                u0 + h ** alpha * (alpha / math.gamma(2.0 + alpha)) * rates @ u0)
+        np.testing.assert_allclose(traj.states[1], first, rtol=1e-14)
+        np.testing.assert_allclose(traj.states, mirror.states[:, ::-1], rtol=1e-13)
+        assert np.isfinite(traj.states).all()
+
     def test_step_size_validation(self):
         with pytest.raises(ValueError):
             solve(constant_problem(T=1.0), SolverConfig(h=2.0, eps_kernel=1e-6))
@@ -285,7 +374,9 @@ class TestValidation:
 class TestBaseCases:
     # The unperturbed solve_ivp benchmark cases at kernel tolerance 1e-8:
     # final state and total Newton iterations, recorded before the step loop
-    # was rewritten (the rewrite is bit-identical on these cases).
+    # was rewritten. The blocked history and the written-out 2 x 2 Newton
+    # solve round differently from that loop; they stay within rtol 1e-13
+    # (5.2e-14 at worst) with the same iteration counts.
     CASES = [
         (("mlf", 0.5, -1.0, 10.0), 0.01, [0.1705762227016069], 1000),
         (("mlf", 0.5, -1 + 2j, 5.0), 0.005,

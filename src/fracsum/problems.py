@@ -23,16 +23,18 @@ def mittag_leffler_problem(alpha: float, lam: complex, T: float) -> FDEProblem:
         raise ValueError(f"rate lam must be finite, got {lam}")
     if lam.imag == 0.0:
         lr = lam.real
+        jac = ((lr,),)
         return FDEProblem(
             alpha=alpha, dim=1, u0=np.array([1.0]), T=T,
-            rhs=lambda t, u: lr * u,
-            jacobian=lambda t, u: np.array([[lr]]),
+            rhs=lambda t, u: [lr * u[0]],
+            jacobian=lambda t, u: jac,
         )
-    mat = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
+    lr, li = lam.real, lam.imag
+    jac = ((lr, -li), (li, lr))
     return FDEProblem(
         alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
-        rhs=lambda t, u: mat @ u,
-        jacobian=lambda t, u: mat,
+        rhs=lambda t, u: [lr * u[0] - li * u[1], li * u[0] + lr * u[1]],
+        jacobian=lambda t, u: jac,
     )
 
 
@@ -47,13 +49,13 @@ def van_der_pol_problem(alpha: float, mu: float, x0: float, y0: float,
         raise ValueError(f"damping constant mu must be finite and nonnegative, got {mu}")
 
     def rhs(t, u):
-        x, y = u.tolist()
-        return np.array([y, mu * (1.0 - x * x) * y - x])
+        x, y = u
+        return y, mu * (1.0 - x * x) * y - x
 
     def jacobian(t, u):
-        x, y = u.tolist()
-        return np.array([[0.0, 1.0],
-                         [-2.0 * mu * x * y - 1.0, mu * (1.0 - x * x)]])
+        x, y = u
+        return ((0.0, 1.0),
+                (-2.0 * mu * x * y - 1.0, mu * (1.0 - x * x)))
 
     return FDEProblem(alpha=alpha, dim=2, u0=np.array([float(x0), float(y0)]),
                       T=T, rhs=rhs, jacobian=jacobian)

@@ -14,15 +14,17 @@ of numpy on arrays that small costs more than the arithmetic.  The trapezoidal
 recursion unrolls exactly over BLOCK steps, so the (dim, P) auxiliary array is
 touched by two matrix products a block, and each step adds a convolution of
 at most BLOCK - 1 past forcings.  Newton's linear system is solved by LU with
-partial pivoting written out for dim 1 and 2, and by LAPACK gesv beyond.
+partial pivoting written out for dim 1 and 2, and by LAPACK gesv beyond.  The
+problem's callbacks get the iterate as a tuple of floats, which they cannot
+alter, and return plain sequences (see FDEProblem).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Optional
+from operator import mul, sub
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -62,14 +64,21 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FDEProblem:
-    """Caputo initial value problem: fractional derivative of u equals rhs(t, u)."""
+    """Caputo initial value problem: fractional derivative of u equals rhs(t, u).
+
+    rhs(t, u) and jacobian(t, u) get u as a tuple of dim floats.  rhs returns
+    a sequence of dim reals and jacobian dim rows of dim reals, row i holding
+    the derivatives of rhs component i; an ndarray iterates, so it serves as
+    well.  Without a jacobian the solver takes forward differences of rhs.
+    """
 
     alpha: float
     dim: int
     u0: np.ndarray
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, tuple[float, ...]], Sequence[float]]
     T: float
-    jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable[[float, tuple[float, ...]],
+                                Sequence[Sequence[float]]]] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -148,13 +157,15 @@ def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
     """delta solving (I - c0 jac) delta = residual, or None if singular.
 
     LU with partial pivoting, written out for dim 1 and 2 and LAPACK gesv
-    beyond; a pivot that is exactly zero means a singular matrix.
+    beyond; a pivot that is exactly zero means a singular matrix.  A jac with
+    other than dim rows of dim values raises ValueError.
     """
     if len(residual) == 1:
-        m = 1.0 - c0 * np.asarray(jac, dtype=float).item()
+        ((j,),) = jac
+        m = 1.0 - c0 * j
         return None if m == 0.0 else [residual[0] / m]
     if len(residual) == 2:
-        (j00, j01), (j10, j11) = np.asarray(jac, dtype=float).tolist()
+        (j00, j01), (j10, j11) = jac
         a00, a01, a10, a11 = 1.0 - c0 * j00, -c0 * j01, -c0 * j10, 1.0 - c0 * j11
         r0, r1 = residual
         if abs(a10) > abs(a00):
@@ -169,20 +180,28 @@ def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
         d1 = (r1 - m * r0) / u11
         return [(r0 - a01 * d1) / a00, d1]
     dim = len(residual)
-    _, _, delta, info = dgesv(np.eye(dim) - c0 * np.asarray(jac, dtype=float),
-                              np.array(residual))
+    jac = np.asarray(jac, dtype=float)
+    if jac.shape != (dim, dim):
+        raise ValueError(f"jacobian must return {dim} rows of {dim} values, "
+                         f"got shape {jac.shape}")
+    _, _, delta, info = dgesv(np.eye(dim) - c0 * jac, np.array(residual))
     return None if info > 0 else delta.tolist()
 
 
+def _length_error(dim: int, f) -> ValueError:
+    return ValueError(f"rhs must return dim = {dim} values, got {len(f)}")
+
+
 def _fd_jacobian(rhs, t, x, fx):
-    d = len(x)
-    jac = np.empty((d, d))
-    for i in range(d):
-        step = _SQRT_EPS * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += step
-        jac[:, i] = (rhs(t, xp) - fx) / step
-    return jac
+    """Forward-difference Jacobian of rhs at x, as rows; fx = rhs(t, x)."""
+    columns = []
+    for i, xi in enumerate(x):
+        step = _SQRT_EPS * (1.0 + abs(xi))
+        fp = rhs(t, x[:i] + (xi + step,) + x[i + 1:])
+        if len(fp) != len(x):
+            raise _length_error(len(x), fp)
+        columns.append([(a - b) / step for a, b in zip(fp, fx)])
+    return list(zip(*columns))
 
 
 def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
@@ -194,7 +213,8 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     Newton's method on Python floats; the auxiliary variables advance once
     every BLOCK steps (see _block_operators).
     Raises StepFailureError (with the failing index) if Newton stalls or its
-    matrix is singular.
+    matrix is singular, and ValueError if rhs returns other than dim values
+    or jacobian other than dim rows of dim values.
     """
     h, alpha, T = config.h, problem.alpha, problem.T
     if not h < T:
@@ -214,8 +234,10 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
     times = np.arange(n_steps + 1, dtype=float) * h
     states = np.empty((n_steps + 1, dim))
     iterations = np.zeros(n_steps, dtype=int)
-    states[0] = x = u0
-    f_n = np.asarray(rhs(0.0, problem.u0.copy()), dtype=float).tolist()
+    states[0] = x = tuple(u0)
+    f_n = rhs(0.0, x)
+    if len(f_n) != dim:
+        raise _length_error(dim, f_n)
     rhs_calls, jacobian_calls = 1, 0
     for n in range(n_steps):
         k = n % BLOCK
@@ -231,10 +253,10 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
                 for f, past, fs, u in zip(f_n, history, forcing, u0)]
         residuals = []
         for it in range(NEWTON_MAX_ITER + 1):
-            xa = np.array(x)
-            fa = np.asarray(rhs(t, xa), dtype=float)
-            fx = fa.tolist()
+            fx = rhs(t, x)
             rhs_calls += 1
+            if len(fx) != dim:
+                raise _length_error(dim, fx)
             res = [xi - c0 * fi - bi for xi, fi, bi in zip(x, fx, base)]
             # max() passes over a NaN that is not the first entry; the sum keeps it
             r = math.nan if math.isnan(sum(res)) else max(map(abs, res))
@@ -249,10 +271,10 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
                     step_index=n, residuals=tuple(residuals),
                 )
             if jacobian is None:
-                jac = _fd_jacobian(rhs, t, xa, fa)
+                jac = _fd_jacobian(rhs, t, x, fx)
                 rhs_calls += dim
             else:
-                jac = jacobian(t, xa)
+                jac = jacobian(t, x)
                 jacobian_calls += 1
             delta = _newton_correction(c0, jac, res)
             if delta is None:
@@ -260,7 +282,7 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
                     f"step {n} failed: singular Newton matrix at t={t:.6g}",
                     step_index=n, residuals=tuple(residuals),
                 )
-            x = [xi - di for xi, di in zip(x, delta)]
+            x = tuple(map(sub, x, delta))
         for fs, f, fnew in zip(forcing, f_n, fx):
             fs.append(f + fnew)
         iterations[n] = it

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -32,7 +33,8 @@ def phi_step(phi, forcing, rates, h):
 
 def reference_solve(problem, config):
     """Per-step reference for solve: the history is phi @ b with phi advanced
-    by phi_step after every step, and Newton goes through numpy.linalg.solve."""
+    by phi_step after every step, and Newton goes through numpy.linalg.solve
+    on arrays made from the callbacks' results."""
     h, alpha = config.h, problem.alpha
     K, J = select_parameters(alpha, h, problem.T, config.eps_kernel)
     S = compress(alpha, h, problem.T, K, J)
@@ -42,17 +44,18 @@ def reference_solve(problem, config):
     phi = np.zeros((problem.dim, S.terms))
     states = [problem.u0]
     iterations = []
-    f_n = problem.rhs(0.0, problem.u0.copy())
+    f_n = np.array(problem.rhs(0.0, tuple(problem.u0.tolist())))
     for n in range(n_steps):
         t = n * h + h
         base = c1 * f_n + phi @ S.b + problem.u0
         x = states[-1]
         for it in range(NEWTON_MAX_ITER + 1):
-            fx = problem.rhs(t, x.copy())
+            fx = np.array(problem.rhs(t, tuple(x.tolist())))
             residual = x - c0 * fx - base
             if np.abs(residual).max() <= NEWTON_TOL:
                 break
-            matrix = np.eye(problem.dim) - c0 * problem.jacobian(t, x.copy())
+            jac = np.array(problem.jacobian(t, tuple(x.tolist())))
+            matrix = np.eye(problem.dim) - c0 * jac
             x = x - np.linalg.solve(matrix, residual)
         phi = phi_step(phi, f_n + fx, S.a, h)
         states.append(x)
@@ -200,7 +203,7 @@ class TestSolve:
 
     def test_finite_difference_jacobian_fallback(self):
         problem = FDEProblem(alpha=0.6, dim=1, u0=np.array([0.5]), T=0.5,
-                             rhs=lambda t, u: -u ** 3)
+                             rhs=lambda t, u: [-u[0] ** 3])
         traj = solve(problem, SolverConfig(h=1e-2, eps_kernel=1e-6))
         assert np.isfinite(traj.states).all()
         assert np.all(np.diff(traj.states[:, 0]) <= 1e-12)
@@ -210,8 +213,8 @@ class TestSolve:
         # double the residual, so the iteration never converges
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
         problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
-                             rhs=lambda t, u: -2.0 * u / c0,
-                             jacobian=lambda t, u: np.zeros((1, 1)))
+                             rhs=lambda t, u: [-2.0 * u[0] / c0],
+                             jacobian=lambda t, u: ((0.0,),))
         with pytest.raises(StepFailureError, match="did not reach") as failure:
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert failure.value.step_index == 0
@@ -221,8 +224,8 @@ class TestSolve:
         # rhs u/c0 makes the Newton matrix 1 - c0 * (1/c0) exactly zero
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
         problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
-                             rhs=lambda t, u: u / c0,
-                             jacobian=lambda t, u: np.array([[1.0 / c0]]))
+                             rhs=lambda t, u: [u[0] / c0],
+                             jacobian=lambda t, u: ((1.0 / c0,),))
         with pytest.raises(StepFailureError, match="singular") as failure:
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert failure.value.step_index == 0
@@ -343,6 +346,72 @@ class TestSolve:
         trajectory_bytes = traj.states.nbytes + traj.times.nbytes \
             + traj.newton_iterations.nbytes
         assert peak <= trajectory_bytes + 128 * 1024
+
+
+class TestCallbacks:
+    def test_result_types_agree(self):
+        # the callbacks get u as a tuple; tuples, lists and ndarrays of the
+        # same products give the same trajectory, bit for bit
+        alpha, lr, li, T = 0.5, -1.0, 2.0, 5.0
+        config = SolverConfig(h=1e-2, eps_kernel=1e-8)
+        mat = np.array([[lr, -li], [li, lr]])
+
+        def products(t, u):
+            return lr * u[0] - li * u[1], li * u[0] + lr * u[1]
+
+        ways = [(products, lambda t, u: ((lr, -li), (li, lr))),
+                (lambda t, u: list(products(t, u)), lambda t, u: mat.tolist()),
+                (lambda t, u: np.array(products(t, u)), lambda t, u: mat)]
+        reference = solve(mittag_leffler_problem(alpha, complex(lr, li), T), config)
+        for rhs, jacobian in ways:
+            traj = solve(FDEProblem(alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
+                                    rhs=rhs, jacobian=jacobian), config)
+            np.testing.assert_array_equal(traj.states, reference.states)
+            np.testing.assert_array_equal(traj.newton_iterations,
+                                          reference.newton_iterations)
+            assert (traj.rhs_calls, traj.jacobian_calls) == \
+                (reference.rhs_calls, reference.jacobian_calls)
+        # numpy's matmul may fuse a multiply-add, so mat @ u agrees to rounding
+        traj = solve(FDEProblem(alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
+                                rhs=lambda t, u: mat @ u,
+                                jacobian=lambda t, u: mat), config)
+        np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(traj.newton_iterations, reference.newton_iterations)
+
+    @pytest.mark.parametrize("values", [1, 3])
+    def test_rhs_of_wrong_length_raises(self, values):
+        # zip would drop a third value, and a single one would stand for both
+        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
+                             rhs=lambda t, u: [-u[0]] * values,
+                             jacobian=lambda t, u: ((-1.0, 0.0), (0.0, -1.0)))
+        with pytest.raises(ValueError, match=f"dim = 2 values, got {values}"):
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+
+    @pytest.mark.parametrize("dim, rows", [
+        (1, ((-1.0, 0.0),)),
+        (2, ((-1.0, 0.0),)),
+        (2, ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0))),
+        (3, (-1.0, -1.0, -1.0)),
+    ])
+    def test_jacobian_of_wrong_shape_raises(self, dim, rows):
+        problem = FDEProblem(alpha=0.5, dim=dim, u0=np.ones(dim), T=1.0,
+                             rhs=lambda t, u: [-v for v in u],
+                             jacobian=lambda t, u: rows)
+        with pytest.raises(ValueError):
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+
+    @pytest.mark.parametrize("lam", [-1.0, -1 + 2j])
+    def test_problem_jacobian_is_not_shared_state(self, lam):
+        # a caller writing into a returned Jacobian must not change the problem
+        problem = mittag_leffler_problem(0.5, lam, 1.0)
+        config = SolverConfig(h=0.1, eps_kernel=1e-6)
+        u = (1.0,) * problem.dim
+        expected = [list(row) for row in problem.jacobian(0.0, u)]
+        before = solve(problem, config)
+        with contextlib.suppress(TypeError):
+            problem.jacobian(0.0, u)[0][0] = 5.0
+        assert [list(row) for row in problem.jacobian(0.0, u)] == expected
+        np.testing.assert_array_equal(solve(problem, config).states, before.states)
 
 
 class TestValidation:

@@ -75,19 +75,14 @@ def _write(path: Path, lines: list[str]) -> None:
 def _pick_parameters(args) -> tuple[int, int]:
     has_kj = args.K is not None and args.J is not None
     if has_kj and args.eps is not None:
-        raise SystemExit(_usage("give either --K/--J or --eps, not both"))
+        raise ValueError("give either --K/--J or --eps, not both")
     if has_kj:
         return args.K, args.J
     if (args.K is None) != (args.J is None):
-        raise SystemExit(_usage("--K and --J must be given together"))
+        raise ValueError("--K and --J must be given together")
     if args.eps is None:
-        raise SystemExit(_usage("give --K/--J or --eps"))
+        raise ValueError("give --K/--J or --eps")
     return select_parameters(args.alpha, args.delta, args.T, args.eps)
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return _USAGE_EXIT
 
 
 def _estimator_lines(alpha, delta, T, K, J) -> list[str]:
@@ -306,9 +301,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else _USAGE_EXIT
     try:
         return args.func(args)
-    except SystemExit as exit_request:
-        code = exit_request.code
-        return code if isinstance(code, int) else _USAGE_EXIT
     except InfeasibleToleranceError as err:
         print(f"error: {err}", file=sys.stderr)
         return _INFEASIBLE_EXIT

@@ -24,7 +24,7 @@ from io import StringIO
 
 import numpy as np
 
-from .quadrature import MAX_NODES, _rule_extended
+from .quadrature import MAX_NODES, _is_count, _rule_extended
 from .specialfn import regularized_upper_gamma
 
 __all__ = [
@@ -136,11 +136,6 @@ def _inverse_gamma_ld(alpha: float):
     return _LD(str(decimal.Context(prec=25).plus(value)))
 
 
-def _is_count(n, low: int) -> bool:
-    """Whether n is an integer (not a bool) of at least low."""
-    return (type(n) is int or isinstance(n, np.integer)) and n >= low
-
-
 def _validate_window(alpha, delta, T):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must be in (0, 1), got {alpha}")
@@ -224,20 +219,11 @@ def eval_sum(S: ExponentialSum, t: float) -> float:
     return math.fsum(S.b * np.exp(-S.a * t))
 
 
-# The estimators on checked arguments; select_parameters calls them in its loops.
-def _quadrature_term(J: int) -> float:
-    return J * _RHO2 ** (-J)
-
-
-def _truncation_term(alpha: float, eta: float, K: int) -> float:
-    return regularized_upper_gamma(1.0 - alpha, eta * 2.0 ** K)
-
-
 def quadrature_term(J: int) -> float:
     """Per-interval quadrature estimator: J (3+sqrt 8)^(-2J), for an integer J >= 1."""
     if not _is_count(J, 1):
         raise ValueError(f"node count J must be an integer >= 1, got {J!r}")
-    return _quadrature_term(J)
+    return J * _RHO2 ** (-J)
 
 
 def truncation_term(alpha: float, eta: float, K: int) -> float:
@@ -247,7 +233,7 @@ def truncation_term(alpha: float, eta: float, K: int) -> float:
     """
     if not _is_count(K, 0):
         raise ValueError(f"interval index K must be an integer >= 0, got {K!r}")
-    return _truncation_term(alpha, eta, K)
+    return regularized_upper_gamma(1.0 - alpha, eta * 2.0 ** K)
 
 
 def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> ErrorEstimate:
@@ -265,20 +251,24 @@ def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> Erro
 
 
 def select_parameters(alpha: float, delta: float, T: float, eps: float) -> tuple[int, int]:
-    """Smallest (K, J) whose estimator halves each stay within eps/2.
+    """Smallest (K, J) with J >= 2 whose estimator halves each stay within eps/2.
 
-    Raises InfeasibleToleranceError when no K <= 200 suffices, which happens
-    only for a tiny delta/T.
+    The J search starts at 2: the measured constant in front of A_1 is about
+    2, so a one-node sum can exceed its certificate, as at (0.04, 1e-6, 1.0,
+    0.06), where it measures 0.061 against a total of 0.043.  A_1 meets eps/2
+    only for eps above 0.0588, so no tighter tolerance is affected.  Raises
+    InfeasibleToleranceError when no K <= 200 suffices, which happens only
+    for a tiny delta/T.
     """
     if not 1e-14 <= eps <= 0.5:
         raise ValueError(f"tolerance must lie in [1e-14, 0.5], got {eps}")
     _validate_window(alpha, delta, T)
     target = eps / 2.0
     # eps >= 1e-14 makes the target >= 5e-15, which J = 10 already meets
-    J = next(J for J in range(1, MAX_NODES + 1) if _quadrature_term(J) <= target)
+    J = next(J for J in range(2, MAX_NODES + 1) if quadrature_term(J) <= target)
     eta = float(delta) / float(T)
     for K in range(0, MAX_INTERVAL_INDEX + 1):
-        if _truncation_term(alpha, eta, K) <= target:
+        if truncation_term(alpha, eta, K) <= target:
             break
     else:
         raise InfeasibleToleranceError(
@@ -418,7 +408,11 @@ def dump_terms(S: ExponentialSum) -> str:
 
 
 def load_terms(text: str) -> ExponentialSum:
-    """Rebuild an ExponentialSum from dump_terms output."""
+    """Rebuild an ExponentialSum from dump_terms output.
+
+    Rejects what compress cannot produce: metadata outside its domain, and
+    rates or coefficients that are not finite and positive.
+    """
     meta: dict[str, str] = {}
     rates: list[float] = []
     coeffs: list[float] = []
@@ -444,10 +438,13 @@ def load_terms(text: str) -> ExponentialSum:
         J = int(meta["J"])
     except KeyError as missing:
         raise ValueError(f"missing metadata field {missing} in term table") from None
+    _validate_compress_args(alpha, delta, T, K, J)
     if len(rates) != (K + 1) * J:
         raise ValueError(f"expected {(K + 1) * J} rows, found {len(rates)}")
     a = np.array(rates)
     b = np.array(coeffs)
+    if not np.all(np.isfinite(a) & (a > 0.0) & np.isfinite(b) & (b > 0.0)):
+        raise ValueError("term rates and coefficients must be finite and positive")
     a.flags.writeable = False
     b.flags.writeable = False
     return ExponentialSum(alpha=alpha, delta=delta, T=T, K=K, J=J, a=a, b=b)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ExponentialSum
+from .quadrature import _is_count
 from .specialfn import log_gamma, mittag_leffler
 
 __all__ = [
@@ -94,7 +95,7 @@ def truncated_integral_W1(alpha: float, T_scaled: float, K: int, t: float) -> fl
         raise ValueError(f"order must be in (0, 1), got {alpha}")
     if not T_scaled > 1.0:
         raise ValueError(f"rescaled horizon must exceed 1, got {T_scaled}")
-    if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 0:
+    if not _is_count(K, 0):
         raise ValueError(f"interval index must be a nonnegative integer, got {K!r}")
     if not t >= 1.0:
         raise ValueError(f"evaluation time must be >= 1, got {t}")

@@ -22,8 +22,8 @@ node and are within 1e-25 relative, far below long-double rounding.
 
 The zeroth moment mu_0 = 2^(b+1)/(b+1) is taken in closed form, as
 exp((b+1) ln 2)/(b+1) in 40-digit decimal arithmetic, with b+1 formed from
-the exact decimal value of b.  Everything runs on numpy, scipy and the
-standard library.
+the exact decimal value of b.  Everything runs on numpy and the standard
+library; the float64 seeds are numpy.linalg.eigvalsh of the dense tridiagonal.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -66,6 +65,11 @@ class QuadratureRule:
     b: float
     nodes: np.ndarray
     weights: np.ndarray
+
+
+def _is_count(n, low: float = -math.inf) -> bool:
+    """Whether n is an integer (not a bool) of at least low."""
+    return (type(n) is int or isinstance(n, np.integer)) and n >= low
 
 
 def _zeroth_moment(b: float) -> decimal.Decimal:
@@ -127,9 +131,9 @@ def _polish(alphas, cs, gs, seed: float):
 def _rule_extended(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Long-double nodes and weights, accurate to the long-double rounding level."""
     alphas, cs, gs = _recurrence(n, b)
-    seeds = eigh_tridiagonal(np.array([v / _ONE for v in alphas]),
-                             np.sqrt(np.array([c / _ONE for c in cs[1:]])) / 2,
-                             eigvals_only=True)
+    diag = np.array([v / _ONE for v in alphas])
+    off = np.sqrt(np.array([c / _ONE for c in cs[1:]])) / 2
+    seeds = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # mu_0 at the Christoffel sum's scale 2^600, from its 40 digits
     mu0 = int(decimal.Context(prec=40).multiply(_zeroth_moment(b), 1 << (3 * _BITS)))
     # each division is exact, rounded once to 25 digits, then read as long double
@@ -150,7 +154,7 @@ def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
 
     Requires 1 <= n <= 64 and b in (-1, 10].
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not _is_count(n):
         raise ValueError(f"node count must be an integer, got {n!r}")
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
@@ -172,7 +176,7 @@ def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
 
 def contour_bound(J: int, ell: float) -> float:
     """Per-interval convergence factor (3-ell)^-1 (ell+sqrt(ell^2-1))^(-2J)."""
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
+    if not _is_count(J, 1):
         raise ValueError(f"node count must be a positive integer, got {J!r}")
     if not 1.0 < ell < 3.0:
         raise ValueError(f"radius must lie in (1, 3), got {ell}")
@@ -184,7 +188,7 @@ def optimal_ell(J: int) -> tuple[float, float]:
 
     The minimizer always lies in (3/2, 3) and approaches 3 as J grows.
     """
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
+    if not _is_count(J, 1):
         raise ValueError(f"node count must be a positive integer, got {J!r}")
     mu = 1.0 / (2.0 * J)
     ell = (3.0 - mu * math.sqrt(8.0 + mu * mu)) / (1.0 - mu * mu)

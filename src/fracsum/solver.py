@@ -14,9 +14,9 @@ of numpy on arrays that small costs more than the arithmetic.  The trapezoidal
 recursion unrolls exactly over BLOCK steps, so the (dim, P) auxiliary array is
 touched by two matrix products a block, and each step adds a convolution of
 at most BLOCK - 1 past forcings.  Newton's linear system is solved by LU with
-partial pivoting written out for dim 1 and 2, and by LAPACK gesv beyond.  The
-problem's callbacks get the iterate as a tuple of floats, which they cannot
-alter, and return plain sequences (see FDEProblem).
+partial pivoting written out for dim 1 and 2, and by numpy.linalg.solve
+beyond.  The problem's callbacks get the iterate as a tuple of floats, which
+they cannot alter, and return plain sequences (see FDEProblem).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .kernel import ExponentialSum, compress, select_parameters
 
@@ -156,9 +155,9 @@ def _block_operators(decay: np.ndarray, gain: np.ndarray, coeffs: np.ndarray):
 def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
     """delta solving (I - c0 jac) delta = residual, or None if singular.
 
-    LU with partial pivoting, written out for dim 1 and 2 and LAPACK gesv
-    beyond; a pivot that is exactly zero means a singular matrix.  A jac with
-    other than dim rows of dim values raises ValueError.
+    LU with partial pivoting, written out for dim 1 and 2 and by
+    numpy.linalg.solve beyond; a pivot that is exactly zero means a singular
+    matrix.  A jac with other than dim rows of dim values raises ValueError.
     """
     if len(residual) == 1:
         ((j,),) = jac
@@ -184,8 +183,10 @@ def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
     if jac.shape != (dim, dim):
         raise ValueError(f"jacobian must return {dim} rows of {dim} values, "
                          f"got shape {jac.shape}")
-    _, _, delta, info = dgesv(np.eye(dim) - c0 * jac, np.array(residual))
-    return None if info > 0 else delta.tolist()
+    try:
+        return np.linalg.solve(np.eye(dim) - c0 * jac, residual).tolist()
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _length_error(dim: int, f) -> ValueError:

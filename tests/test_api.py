@@ -50,13 +50,14 @@ def test_public_api_is_pinned():
 
 # Only the oracle quadratures need scipy.integrate, which pulls in
 # scipy.optimize and scipy.sparse, about 20 MB of resident memory.  The
-# library never needs mpmath: with it blocked, a lazy import anywhere in a
+# library's linear algebra is numpy's, so scipy.linalg stays out until the
+# quadratures run.  The library never needs mpmath: with it blocked, a lazy import anywhere in a
 # cold compression, a scan, a rule or a solve raises ImportError.
 _FOOTPRINT_SCRIPT = """
 import sys
 import fracsum, fracsum.cli
 heavy = {".".join(m.split(".")[:2]) for m in sys.modules}
-heavy &= {"scipy.integrate", "scipy.optimize", "scipy.sparse", "mpmath"}
+heavy &= {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "mpmath"}
 assert not heavy, heavy
 sys.modules["mpmath"] = None
 S = fracsum.compress(0.4172635091, 1e-3, 10.0, 18, 5)

@@ -44,15 +44,16 @@ class TestCompressCommand:
         S = load_terms(out.read_text())
         assert S.terms == (S.K + 1) * S.J
 
-    def test_conflicting_selection_flags(self, tmp_path):
-        code, _ = run(tmp_path, "x.txt",
-                      ["compress", "--alpha", "0.5", "--delta", "1e-4",
-                       "--T", "1e2", "--K", "3", "--J", "2", "--eps", "1e-8"])
-        assert code == 2
-        code, _ = run(tmp_path, "y.txt",
-                      ["compress", "--alpha", "0.5", "--delta", "1e-4",
-                       "--T", "1e2", "--K", "3"])
-        assert code == 2
+    def test_conflicting_selection_flags(self, tmp_path, capsys):
+        window = ["compress", "--alpha", "0.5", "--delta", "1e-4", "--T", "1e2"]
+        for flags, message in [
+            (["--K", "3", "--J", "2", "--eps", "1e-8"], "give either --K/--J or --eps, not both"),
+            (["--K", "3"], "--K and --J must be given together"),
+            ([], "give --K/--J or --eps"),
+        ]:
+            code, out = run(tmp_path, "x.txt", window + flags)
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infinite_horizon_exit_code(self, tmp_path):
         # tolerance-driven selection rejects it as explicit --K/--J already do

@@ -231,6 +231,18 @@ class TestSolve:
         assert failure.value.step_index == 0
         assert len(failure.value.residuals) == 1
 
+    def test_singular_three_dimensional_newton_matrix(self):
+        # the third diagonal entry of I - c0 diag(-1, -2, 1/c0) is exactly zero
+        c0 = 0.1 ** 0.5 / math.gamma(2.5)
+        rates = np.diag([-1.0, -2.0, 1.0 / c0])
+        problem = FDEProblem(alpha=0.5, dim=3, u0=np.ones(3), T=1.0,
+                             rhs=lambda t, u: rates @ u,
+                             jacobian=lambda t, u: rates)
+        with pytest.raises(StepFailureError, match="singular") as failure:
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert failure.value.step_index == 0
+        assert len(failure.value.residuals) == 1
+
     def test_nan_residual_never_converges(self):
         # a NaN in any component must fail the step, not pass the norm test
         problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
@@ -283,8 +295,9 @@ class TestSolve:
         np.testing.assert_allclose(traj.states, states, rtol=1e-13, atol=0)
 
     def test_three_dimensional_block_diagonal_system(self):
-        # a real rate and a complex pair in one system, solved through gesv;
-        # each block follows its exact solution and its own lower-dim solve
+        # a real rate and a complex pair in one system, solved by
+        # numpy.linalg.solve; each block follows its exact solution and its own
+        # lower-dim solve
         alpha, lam, mu, h, T = 0.6, -1.5, -1 + 2j, 3e-3, 3.0
         rates = np.array([[lam, 0.0, 0.0],
                           [0.0, mu.real, -mu.imag],

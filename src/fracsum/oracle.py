@@ -3,9 +3,11 @@
 Everything here deliberately avoids the Gauss-Jacobi machinery under test:
 integrals go through adaptive Gauss-Kronrod quadrature (with endpoint
 singularities removed by a power substitution), and exact solutions come from
-the contour evaluator of the Mittag-Leffler function.  These paths favor
-correctness over speed.  The quadratures import scipy.integrate when they first
-run, so importing this module does not load it.
+the contour evaluator of the Mittag-Leffler function.  The truncated (W1) and
+tail (W2) integrals share that one substituted quadrature, so a tail whose
+lower limit sits just above 0 meets no near-singular integrand.  These paths
+favor correctness over speed.  The quadrature imports scipy.integrate when it
+first runs, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -70,18 +72,17 @@ def kernel_direct(alpha: float, t):
     return float(vals) if np.isscalar(t) or ts.ndim == 0 else vals
 
 
-def _singular_piece(exponent: float, t: float, upper: float,
+def _singular_piece(exponent: float, t: float, lower: float, upper: float,
                     epsrel: float) -> tuple[float, float]:
-    """Integral of s^exponent e^(-ts) over [0, upper] for exponent in (-1, 0).
+    """Integral of s^exponent e^(-ts) over [lower, upper] for exponent in (-1, 0).
 
-    Substituting s = sigma^(1/(1+exponent)) flattens the endpoint singularity,
-    leaving a constant times exp(-t sigma^m).
+    Substituting s = sigma^(1/(1+exponent)) flattens the endpoint singularity
+    at 0, leaving a constant times exp(-t sigma^m).
     """
     from scipy import integrate
     m = 1.0 / (1.0 + exponent)
-    upper_sigma = upper ** (1.0 + exponent)
     return integrate.quad(lambda sig: m * math.exp(-t * sig ** m),
-                          0.0, upper_sigma,
+                          lower ** (1.0 + exponent), upper ** (1.0 + exponent),
                           epsabs=0.0, epsrel=epsrel, limit=500)
 
 
@@ -100,7 +101,7 @@ def truncated_integral_W1(alpha: float, T_scaled: float, K: int, t: float) -> fl
     if not t >= 1.0:
         raise ValueError(f"evaluation time must be >= 1, got {t}")
     upper = 2.0 ** K / T_scaled
-    val, err = _singular_piece(-alpha, t, upper, 1e-12)
+    val, err = _singular_piece(-alpha, t, 0.0, upper, 1e-12)
     val *= _sine_factor(alpha)
     err *= _sine_factor(alpha)
     if not math.isfinite(val) or err > 1e-11 * abs(val):
@@ -118,13 +119,7 @@ def tail_W2(query: TailQuery) -> float:
     """
     alpha, a, t = query.alpha, query.a, query.t
     s_max = a + (_TAIL_DECADES * math.log(10.0) + 10.0) / t
-    if a == 0.0:
-        val, err = _singular_piece(-alpha, t, s_max, 1e-12)
-    else:
-        from scipy import integrate
-        val, err = integrate.quad(lambda s: s ** -alpha * math.exp(-t * s),
-                                  a, s_max,
-                                  epsabs=0.0, epsrel=1e-12, limit=500)
+    val, err = _singular_piece(-alpha, t, a, s_max, 1e-12)
     val *= _sine_factor(alpha)
     err *= _sine_factor(alpha)
     if not math.isfinite(val) or err > 1e-10 * abs(val):
@@ -150,6 +145,4 @@ def mlf_exact_solution(alpha: float, lam: complex, t):
     ts = np.asarray(t, dtype=float)
     if not np.all(ts >= 0.0):
         raise ValueError("times t must be nonnegative")
-    z = complex(lam) * ts.astype(complex) ** alpha
-    vals = mittag_leffler(alpha, z)
-    return vals if ts.ndim else complex(np.asarray(vals).ravel()[0])
+    return mittag_leffler(alpha, complex(lam) * ts.astype(complex) ** alpha)

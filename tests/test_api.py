@@ -42,10 +42,22 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    # a new public name is a deliberate change to this list
+    # a new public name is a deliberate change to this list; the package
+    # republishes each module's own object under it
     assert sorted(fracsum.__all__) == PUBLIC_NAMES
+    modules = [fracsum.kernel, fracsum.oracle, fracsum.problems,
+               fracsum.quadrature, fracsum.solver, fracsum.specialfn]
     for name in PUBLIC_NAMES:
-        assert getattr(fracsum, name) is not None
+        (owner,) = [m for m in modules if name in m.__all__]
+        assert getattr(fracsum, name) is getattr(owner, name)
+
+
+def test_version_is_declared_once():
+    # pyproject.toml reads the version from the package instead of repeating it
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "fracsum.__version__"}' in text
+    assert fracsum.__version__ not in text
 
 
 # Only the oracle quadratures need scipy.integrate, which pulls in

@@ -173,6 +173,20 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert int(first[3]) == 0 and int(first[4]) == 2 and int(first[5]) == 2
 
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--K-values", ",", "integer"),
+        ("--K-values", "5:3", "integer"),
+        ("--delta-values", " , ", "float"),
+    ])
+    def test_empty_list_is_a_usage_error(self, tmp_path, capsys, flag, value, kind):
+        flags = {"--delta-values": "1e-2", "--K-values": "0:2", "--J-values": "2"}
+        flags[flag] = value
+        code, out = run(tmp_path, "sweep.csv",
+                        ["sweep", "--alpha", "0.5", "--T", "1.0"]
+                        + [part for item in flags.items() for part in item])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: empty {kind} list")
+
 
 class TestExitCodes:
     def test_usage_error(self, tmp_path):

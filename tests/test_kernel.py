@@ -442,6 +442,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_terms("0 1 2.0 3.0\n")  # metadata missing
 
+    def test_missing_row(self):
+        text = dump_terms(compress(0.5, 1e-2, 2.0, 1, 4))
+        with pytest.raises(ValueError, match="expected 8 rows, found 7"):
+            load_terms(text.rstrip("\n").rsplit("\n", 1)[0])
+
     _META = "# alpha {}\n# delta {}\n# T 2\n# K 0\n# J {}\n"
 
     @pytest.mark.parametrize("text,match", [

@@ -67,6 +67,8 @@ class TestTruncatedIntegral:
         for K in (2.5, math.nan, False):
             with pytest.raises(ValueError, match="interval index"):
                 truncated_integral_W1(0.5, 10.0, K, 2.0)
+        with pytest.raises(ValueError, match="order"):
+            truncated_integral_W1(1.5, 10.0, 3, 2.0)
         with pytest.raises(ValueError):
             truncated_integral_W1(0.5, 1e3, 3, 0.5)
         with pytest.raises(ValueError):
@@ -86,6 +88,14 @@ class TestTail:
             0.088746574118092657491, rel=1e-10)
         assert tail_W2(TailQuery(0.2, 1.0, 2.0)) == pytest.approx(
             0.011796390126125670705, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-6])
+    @pytest.mark.parametrize("alpha", [0.1, 0.7, 0.99])
+    @pytest.mark.parametrize("t", [1.0, 1.5, 1e3])
+    def test_lower_limit_near_zero(self, alpha, a, t):
+        # the tail has the closed form Q(1-alpha, a t) t^(alpha-1)/Gamma(alpha)
+        exact = regularized_upper_gamma(1.0 - alpha, a * t) * kernel_direct(alpha, t)
+        assert tail_W2(TailQuery(alpha, a, t)) == pytest.approx(exact, rel=1e-10)
 
     def test_monotone_vanishing_in_lower_limit(self):
         vals = [tail_W2(TailQuery(0.5, a, 1.5)) for a in (0.0, 0.5, 1.0, 4.0, 20.0)]

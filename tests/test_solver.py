@@ -15,6 +15,7 @@ from fracsum.solver import (
     FDEProblem,
     SolverConfig,
     StepFailureError,
+    _newton_correction,
     _trapezoid_factors,
     solve,
 )
@@ -341,6 +342,14 @@ class TestSolve:
         np.testing.assert_allclose(traj.states, mirror.states[:, ::-1], rtol=1e-13)
         assert np.isfinite(traj.states).all()
 
+    @pytest.mark.parametrize("jac, residual", [
+        (((2.0, 0.0), (0.0, 1.0)), [1.0, 1.0]),  # first column zero
+        (((0.0, -2.0), (-2.0, 0.0)), [1.0, 2.0]),  # u11 zero after elimination
+    ], ids=["zero-column", "zero-u11"])
+    def test_two_dimensional_singular_matrix(self, jac, residual):
+        # with c0 = 0.5, I - c0 jac is diag(0, 0.5) and [[1, 1], [1, 1]]
+        assert _newton_correction(0.5, jac, residual) is None
+
     def test_step_size_validation(self):
         with pytest.raises(ValueError):
             solve(constant_problem(T=1.0), SolverConfig(h=2.0, eps_kernel=1e-6))
@@ -399,6 +408,25 @@ class TestCallbacks:
                              jacobian=lambda t, u: ((-1.0, 0.0), (0.0, -1.0)))
         with pytest.raises(ValueError, match=f"dim = 2 values, got {values}"):
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+
+    @pytest.mark.parametrize("jacobian", [
+        lambda t, u: ((-1.0, 0.0), (0.0, -1.0)),
+        None,
+    ], ids=["newton-loop", "finite-differences"])
+    def test_rhs_changing_length_raises(self, jacobian):
+        # the first two calls (step 0's forcing and Newton residual) give two
+        # values; the next, a Newton residual or a difference quotient, three
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return [-v for v in u] + [0.0] * (len(calls) > 2)
+
+        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0, rhs=rhs,
+                             jacobian=jacobian)
+        with pytest.raises(ValueError, match="dim = 2 values, got 3"):
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("dim, rows", [
         (1, ((-1.0, 0.0),)),

@@ -24,7 +24,7 @@ from io import StringIO
 
 import numpy as np
 
-from .quadrature import MAX_NODES, _is_count, _rule_extended
+from .quadrature import MAX_NODES, _LD, _is_count, _rule_extended
 from .specialfn import regularized_upper_gamma
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 
 MAX_INTERVAL_INDEX = 200
 
-_LD = np.longdouble
 _PI_LD = _LD("3.141592653589793238462643383279502884")  # 37 digits
 _RHO2 = (3.0 + math.sqrt(8.0)) ** 2  # squared convergence factor, ~33.97
 

@@ -24,6 +24,11 @@ The zeroth moment mu_0 = 2^(b+1)/(b+1) is taken in closed form, as
 exp((b+1) ln 2)/(b+1) in 40-digit decimal arithmetic, with b+1 formed from
 the exact decimal value of b.  Everything runs on numpy and the standard
 library; the float64 seeds are numpy.linalg.eigvalsh of the dense tridiagonal.
+
+The rules here, the kernel's coefficients and its error scan need a
+numpy.longdouble with at least the 64-bit significand of x87 extended
+precision; where it is only a double (MSVC on Windows, macOS on arm64),
+importing this module raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -55,6 +60,16 @@ _NEWTON_DONE = int(1e-25 * _ONE)
 _CACHE_SIZE = 1024
 
 _LN2 = decimal.Context(prec=40).ln(2)
+
+
+def _require_extended_precision(info) -> None:
+    """Raise RuntimeError unless the finfo given has a 64-bit significand or wider."""
+    if info.nmant < 63:
+        raise RuntimeError(f"numpy.longdouble has a {info.nmant + 1}-bit significand here; "
+                           "fracsum needs 64 bits or more (x87 extended precision)")
+
+
+_require_extended_precision(np.finfo(_LD))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ history value is the weighted sum of the psi_p.  The auxiliary update is the
 trapezoidal rule, which is A-stable - necessary because the fastest rates a_p
 are of order 2^K/T.  Memory is O(dim * P) regardless of the step count.
 
-The step loop runs on Python floats, because at dim 1 or 2 the call overhead
-of numpy on arrays that small costs more than the arithmetic.  The trapezoidal
-recursion unrolls exactly over BLOCK steps, so the (dim, P) auxiliary array is
-touched by two matrix products a block, and each step adds a convolution of
-at most BLOCK - 1 past forcings.  Newton's linear system is solved by LU with
-partial pivoting written out for dim 1 and 2, and by numpy.linalg.solve
-beyond.  The problem's callbacks get the iterate as a tuple of floats, which
-they cannot alter, and return plain sequences (see FDEProblem).
+The steps run on Python floats, because at dim 1 or 2 the call overhead of
+numpy on arrays that small costs more than the arithmetic.  There are two step
+loops.  For dim 1 and 2 the state, forcing, residual and Newton update are
+scalar locals, and Newton's matrix is factored by LU with partial pivoting
+written out; for dim 3 and beyond the same arithmetic runs on lists of dim
+floats, with numpy.linalg.solve for Newton.  In both, the trapezoidal
+recursion unrolls exactly over BLOCK steps, so the (dim, P) auxiliary array
+is touched by two matrix products a block, and each step adds a convolution
+of at most BLOCK - 1 past forcings.  The problem's callbacks get the iterate
+as a tuple of floats, which they cannot alter, and return plain sequences
+(see FDEProblem).
 """
 
 from __future__ import annotations
@@ -152,45 +155,22 @@ def _block_operators(decay: np.ndarray, gain: np.ndarray, coeffs: np.ndarray):
     return np.ascontiguousarray(carry.T), lag_rows, spread, powers[BLOCK]
 
 
-def _newton_correction(c0: float, jac, residual: list) -> Optional[list]:
-    """delta solving (I - c0 jac) delta = residual, or None if singular.
-
-    LU with partial pivoting, written out for dim 1 and 2 and by
-    numpy.linalg.solve beyond; a pivot that is exactly zero means a singular
-    matrix.  A jac with other than dim rows of dim values raises ValueError.
-    """
-    if len(residual) == 1:
-        ((j,),) = jac
-        m = 1.0 - c0 * j
-        return None if m == 0.0 else [residual[0] / m]
-    if len(residual) == 2:
-        (j00, j01), (j10, j11) = jac
-        a00, a01, a10, a11 = 1.0 - c0 * j00, -c0 * j01, -c0 * j10, 1.0 - c0 * j11
-        r0, r1 = residual
-        if abs(a10) > abs(a00):
-            a00, a01, a10, a11, r0, r1 = a10, a11, a00, a01, r1, r0
-        if a00 == 0.0:
-            return None
-        # the multiplier scales by the reciprocal pivot, as getrf does
-        m = a10 * (1.0 / a00)
-        u11 = a11 - m * a01
-        if u11 == 0.0:
-            return None
-        d1 = (r1 - m * r0) / u11
-        return [(r0 - a01 * d1) / a00, d1]
-    dim = len(residual)
-    jac = np.asarray(jac, dtype=float)
-    if jac.shape != (dim, dim):
-        raise ValueError(f"jacobian must return {dim} rows of {dim} values, "
-                         f"got shape {jac.shape}")
-    try:
-        return np.linalg.solve(np.eye(dim) - c0 * jac, residual).tolist()
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _length_error(dim: int, f) -> ValueError:
     return ValueError(f"rhs must return dim = {dim} values, got {len(f)}")
+
+
+def _stalled(n: int, t: float, residuals: list) -> StepFailureError:
+    return StepFailureError(
+        f"step {n} failed: Newton did not reach {NEWTON_TOL:.1e} within "
+        f"{NEWTON_MAX_ITER} iterations at t={t:.6g} "
+        f"(residual trace {', '.join(f'{r:.3e}' for r in residuals)})",
+        step_index=n, residuals=tuple(residuals),
+    )
+
+
+def _singular(n: int, t: float, residuals: list) -> StepFailureError:
+    return StepFailureError(f"step {n} failed: singular Newton matrix at t={t:.6g}",
+                            step_index=n, residuals=tuple(residuals))
 
 
 def _fd_jacobian(rhs, t, x, fx):
@@ -205,49 +185,35 @@ def _fd_jacobian(rhs, t, x, fx):
     return list(zip(*columns))
 
 
-def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
-    """Constant-step march over [0, T] with the compressed-kernel history.
+def _next_history(aux: np.ndarray, forcing: list, ops) -> list:
+    """Advance aux over the block whose summed forcings fill the lists in
+    forcing (empty before the first block), empty them, and return the
+    history rows the next block starts from, as dim lists of BLOCK floats."""
+    carry, _, spread, decay_block = ops
+    if forcing[0]:
+        aux *= decay_block
+        aux += np.array(forcing) @ spread
+        for fs in forcing:
+            fs.clear()
+    return (aux @ carry).tolist()
 
-    The kernel is built once with offset delta = h and tolerance eps_kernel;
-    the number of auxiliary variables P does not depend on the step count.
-    Each step solves v = u0 + h^alpha (w0 f(t, v) + w1 f_n) + history by
-    Newton's method on Python floats; the auxiliary variables advance once
-    every BLOCK steps (see _block_operators).
-    Raises StepFailureError (with the failing index) if Newton stalls or its
-    matrix is singular, and ValueError if rhs returns other than dim values
-    or jacobian other than dim rows of dim values.
+
+def _march_lists(problem: FDEProblem, h, c0, c1, ops, aux, f_n, states, iterations):
+    """The step loop on lists of dim floats, which solve runs for dim >= 3.
+
+    f_n is rhs at t = 0.  Fills states[1:] and iterations and returns the
+    rhs and Jacobian call counts.
     """
-    h, alpha, T = config.h, problem.alpha, problem.T
-    if not h < T:
-        raise ValueError(f"step size must be below the horizon, got h={h}, T={T}")
-    K, J = select_parameters(alpha, h, T, config.eps_kernel)
-    kernel = compress(alpha, h, T, K, J)
-    carry, lag_rows, spread, decay_block = _block_operators(
-        *_trapezoid_factors(kernel.a, h), kernel.b)
-    ha = h ** alpha
-    w0 = 1.0 / math.gamma(2.0 + alpha)
-    c0 = ha * w0
-    c1 = ha * (alpha * w0)
     rhs, jacobian, dim = problem.rhs, problem.jacobian, problem.dim
+    lag_rows = ops[1]
     u0 = problem.u0.tolist()
-    aux = np.zeros((dim, kernel.terms))
-    n_steps = int(math.floor(T / h + 1e-9))
-    times = np.arange(n_steps + 1, dtype=float) * h
-    states = np.empty((n_steps + 1, dim))
-    iterations = np.zeros(n_steps, dtype=int)
-    states[0] = x = tuple(u0)
-    f_n = rhs(0.0, x)
-    if len(f_n) != dim:
-        raise _length_error(dim, f_n)
+    x = tuple(u0)
     rhs_calls, jacobian_calls = 1, 0
-    for n in range(n_steps):
+    forcing = [[] for _ in range(dim)]
+    for n in range(len(iterations)):
         k = n % BLOCK
         if k == 0:
-            if n:
-                aux *= decay_block
-                aux += np.array(forcing) @ spread
-            history = (aux @ carry).tolist()
-            forcing = [[] for _ in range(dim)]
+            history = _next_history(aux, forcing, ops)
         t = n * h + h
         lags = lag_rows[k]
         base = [c1 * f + (past[k] + sum(map(mul, lags, fs))) + u
@@ -265,30 +231,154 @@ def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
             if r <= NEWTON_TOL:
                 break
             if it == NEWTON_MAX_ITER:
-                raise StepFailureError(
-                    f"step {n} failed: Newton did not reach {NEWTON_TOL:.1e} within "
-                    f"{NEWTON_MAX_ITER} iterations at t={t:.6g} "
-                    f"(residual trace {', '.join(f'{r:.3e}' for r in residuals)})",
-                    step_index=n, residuals=tuple(residuals),
-                )
+                raise _stalled(n, t, residuals)
             if jacobian is None:
                 jac = _fd_jacobian(rhs, t, x, fx)
                 rhs_calls += dim
             else:
                 jac = jacobian(t, x)
                 jacobian_calls += 1
-            delta = _newton_correction(c0, jac, res)
-            if delta is None:
-                raise StepFailureError(
-                    f"step {n} failed: singular Newton matrix at t={t:.6g}",
-                    step_index=n, residuals=tuple(residuals),
-                )
+            jac = np.asarray(jac, dtype=float)
+            if jac.shape != (dim, dim):
+                raise ValueError(f"jacobian must return {dim} rows of {dim} values, "
+                                 f"got shape {jac.shape}")
+            try:
+                delta = np.linalg.solve(np.eye(dim) - c0 * jac, res).tolist()
+            except np.linalg.LinAlgError:
+                raise _singular(n, t, residuals) from None
             x = tuple(map(sub, x, delta))
         for fs, f, fnew in zip(forcing, f_n, fx):
             fs.append(f + fnew)
         iterations[n] = it
         states[n + 1] = x
         f_n = fx
+    return rhs_calls, jacobian_calls
+
+
+def _march_scalar(problem: FDEProblem, h, c0, c1, ops, aux, f_n, states, iterations):
+    """_march_lists for dim 1 and 2 on scalar locals, with no list built a
+    step and Newton's LU written out; at dim 1 the second component stays
+    zero and reaches no callback."""
+    rhs, jacobian, dim = problem.rhs, problem.jacobian, problem.dim
+    two = dim == 2
+    lag_rows = ops[1]
+    u_0 = x0 = problem.u0[0].item()
+    u_1 = x1 = problem.u0[1].item() if two else 0.0
+    f0 = f_n[0]
+    f1 = f_n[1] if two else 0.0
+    rhs_calls, jacobian_calls = 1, 0
+    fs0, fs1 = [], []
+    forcing = [fs0, fs1] if two else [fs0]
+    # at dim 1 hist1 and col1 repeat hist0 and col0, and go unused
+    col0, col1 = states[:, 0], states[:, -1]
+    trace = [0.0] * (NEWTON_MAX_ITER + 1)  # the residuals of a step
+    for n in range(len(iterations)):
+        k = n % BLOCK
+        if k == 0:
+            history = _next_history(aux, forcing, ops)
+            hist0, hist1 = history[0], history[-1]
+        t = n * h + h
+        lags = lag_rows[k]
+        b0 = c1 * f0 + (hist0[k] + sum(map(mul, lags, fs0))) + u_0
+        if two:
+            b1 = c1 * f1 + (hist1[k] + sum(map(mul, lags, fs1))) + u_1
+        for it in range(NEWTON_MAX_ITER + 1):
+            x = (x0, x1) if two else (x0,)
+            fx = rhs(t, x)
+            rhs_calls += 1
+            if len(fx) != dim:
+                raise _length_error(dim, fx)
+            if two:
+                g0, g1 = fx
+                r0 = x0 - c0 * g0 - b0
+                r1 = x1 - c0 * g1 - b1
+                # max(a0, a1), but NaN whenever r0 + r1 is
+                a0, a1 = abs(r0), abs(r1)
+                r = math.nan if math.isnan(r0 + r1) else a1 if a1 > a0 else a0
+            else:
+                (g0,) = fx
+                r0 = x0 - c0 * g0 - b0
+                r = abs(r0)
+            trace[it] = r
+            if r <= NEWTON_TOL:
+                break
+            if it == NEWTON_MAX_ITER:
+                raise _stalled(n, t, trace)
+            if jacobian is None:
+                jac = _fd_jacobian(rhs, t, x, fx)
+                rhs_calls += dim
+            else:
+                jac = jacobian(t, x)
+                jacobian_calls += 1
+            if two:
+                (j00, j01), (j10, j11) = jac
+                a00, a01, a10, a11 = 1.0 - c0 * j00, -c0 * j01, -c0 * j10, 1.0 - c0 * j11
+                if abs(a10) > abs(a00):
+                    a00, a01, a10, a11, r0, r1 = a10, a11, a00, a01, r1, r0
+            else:
+                ((j00,),) = jac
+                a00 = 1.0 - c0 * j00
+            if a00 == 0.0:
+                raise _singular(n, t, trace[:it + 1])
+            if two:
+                # the multiplier scales by the reciprocal pivot, as getrf does
+                m = a10 * (1.0 / a00)
+                u11 = a11 - m * a01
+                if u11 == 0.0:
+                    raise _singular(n, t, trace[:it + 1])
+                d1 = (r1 - m * r0) / u11
+                x1 -= d1
+                r0 -= a01 * d1
+            x0 -= r0 / a00
+        fs0.append(f0 + g0)
+        f0 = g0
+        col0[n + 1] = x0
+        if two:
+            fs1.append(f1 + g1)
+            f1 = g1
+            col1[n + 1] = x1
+        iterations[n] = it
+    return rhs_calls, jacobian_calls
+
+
+def solve(problem: FDEProblem, config: SolverConfig) -> Trajectory:
+    """Constant-step march over [0, T] with the compressed-kernel history.
+
+    The kernel is built once with offset delta = h and tolerance eps_kernel;
+    the number of auxiliary variables P does not depend on the step count.
+    Each step solves v = u0 + h^alpha (w0 f(t, v) + w1 f_n) + history by
+    Newton's method on Python floats; the auxiliary variables advance once
+    every BLOCK steps (see _block_operators).
+    Raises StepFailureError (with the failing index) if Newton stalls or its
+    matrix is singular, and ValueError if rhs returns other than dim values
+    or jacobian other than dim rows of dim values.
+    """
+    return _solve(problem, config, _march_scalar if problem.dim <= 2 else _march_lists)
+
+
+def _solve(problem: FDEProblem, config: SolverConfig, march) -> Trajectory:
+    """solve, with the step loop march: _march_scalar or _march_lists."""
+    h, alpha, T = config.h, problem.alpha, problem.T
+    if not h < T:
+        raise ValueError(f"step size must be below the horizon, got h={h}, T={T}")
+    K, J = select_parameters(alpha, h, T, config.eps_kernel)
+    kernel = compress(alpha, h, T, K, J)
+    ops = _block_operators(*_trapezoid_factors(kernel.a, h), kernel.b)
+    ha = h ** alpha
+    w0 = 1.0 / math.gamma(2.0 + alpha)
+    c0 = ha * w0
+    c1 = ha * (alpha * w0)
+    aux = np.zeros((problem.dim, kernel.terms))
+    n_steps = int(math.floor(T / h + 1e-9))
+    times = np.arange(n_steps + 1, dtype=float) * h
+    states = np.empty((n_steps + 1, problem.dim))
+    iterations = np.zeros(n_steps, dtype=int)
+    states[0] = problem.u0
+    f_n = problem.rhs(0.0, tuple(problem.u0.tolist()))
+    if len(f_n) != problem.dim:
+        raise _length_error(problem.dim, f_n)
+    rhs_calls, jacobian_calls = march(problem, h, c0, c1, ops, aux, f_n, states,
+                                      iterations)
     states.flags.writeable = False
     times.flags.writeable = False
     iterations.flags.writeable = False

@@ -40,13 +40,13 @@ _LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
+    """Natural log of the gamma function for finite x > 0.
 
     Absolute error below 1e-13 on [0.01, 200] (C-library lgamma).
     """
     x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
     return math.lgamma(x)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import roots_jacobi
 from fracsum.quadrature import (
     _polish,
     _recurrence,
+    _require_extended_precision,
     _rule_extended,
     contour_bound,
     gauss_jacobi_rule,
@@ -202,6 +204,18 @@ class TestRuleConstruction:
                 gauss_jacobi_rule(4, b)
         with pytest.raises(ValueError):
             gauss_jacobi_rule(2.5, 0.0)
+
+
+class TestLongDoublePrecision:
+    def test_double_precision_long_double_raises(self):
+        # numpy.longdouble is a double with MSVC on Windows and on macOS arm64
+        with pytest.raises(RuntimeError, match="53-bit significand"):
+            _require_extended_precision(np.finfo(np.float64))
+
+    def test_extended_and_quad_precision_pass(self):
+        _require_extended_precision(np.finfo(np.longdouble))
+        for nmant in (63, 112):
+            _require_extended_precision(SimpleNamespace(nmant=nmant))
 
 
 class TestOptimalEll:

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fracsum.solver import (
     FDEProblem,
     SolverConfig,
     StepFailureError,
-    _newton_correction,
+    _march_lists,
+    _march_scalar,
+    _solve,
     _trapezoid_factors,
     solve,
 )
@@ -24,6 +27,16 @@ from fracsum.solver import (
 def constant_problem(alpha=0.5, dim=1, T=1.0):
     return FDEProblem(alpha=alpha, dim=dim, u0=np.ones(dim), T=T,
                       rhs=lambda t, u: np.zeros(dim))
+
+
+def block_diagonal_problem(alpha, lam, mu, T):
+    """A real rate lam and a complex one mu in one 3-dimensional linear system."""
+    rates = np.array([[lam, 0.0, 0.0],
+                      [0.0, mu.real, -mu.imag],
+                      [0.0, mu.imag, mu.real]])
+    return FDEProblem(alpha=alpha, dim=3, u0=np.array([1.0, 1.0, 0.0]), T=T,
+                      rhs=lambda t, u: rates @ u,
+                      jacobian=lambda t, u: rates)
 
 
 def phi_step(phi, forcing, rates, h):
@@ -244,13 +257,16 @@ class TestSolve:
         assert failure.value.step_index == 0
         assert len(failure.value.residuals) == 1
 
-    def test_nan_residual_never_converges(self):
+    @pytest.mark.parametrize("values", [np.array([0.0, np.nan]), [np.nan], [np.nan, 0.0]],
+                             ids=["second-of-two", "dim-1", "first-of-two"])
+    def test_nan_residual_never_converges(self, values):
         # a NaN in any component must fail the step, not pass the norm test
-        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
-                             rhs=lambda t, u: np.array([0.0, np.nan]))
-        with pytest.raises(StepFailureError) as failure:
+        problem = FDEProblem(alpha=0.5, dim=len(values), u0=np.ones(len(values)),
+                             T=1.0, rhs=lambda t, u: values)
+        with pytest.raises(StepFailureError, match="did not reach") as failure:
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert failure.value.step_index == 0
+        assert all(math.isnan(r) for r in failure.value.residuals)
 
     def test_reports_kernel_and_work(self):
         calls = {"rhs": 0, "jacobian": 0}
@@ -285,9 +301,14 @@ class TestSolve:
         np.testing.assert_array_equal(traj.kernel.a, S.a)
         np.testing.assert_array_equal(traj.kernel.b, S.b)
 
-    def test_blocked_history_matches_per_step_recursion(self):
-        # 201 steps, so the last block is partial
-        problem = van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 2.01)
+    @pytest.mark.parametrize("problem", [
+        mittag_leffler_problem(0.5, -1.0, 2.01),
+        van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 2.01),
+        block_diagonal_problem(0.6, -1.5, -1 + 2j, 2.01),
+    ], ids=["real-rate", "van-der-pol", "dim-3"])
+    def test_blocked_history_matches_per_step_recursion(self, problem):
+        # 201 steps, so the last block is partial; the scalar step loop at
+        # dim 1 and 2, the list loop at dim 3
         config = SolverConfig(h=1e-2, eps_kernel=1e-8)
         traj = solve(problem, config)
         states, iterations = reference_solve(problem, config)
@@ -300,12 +321,7 @@ class TestSolve:
         # numpy.linalg.solve; each block follows its exact solution and its own
         # lower-dim solve
         alpha, lam, mu, h, T = 0.6, -1.5, -1 + 2j, 3e-3, 3.0
-        rates = np.array([[lam, 0.0, 0.0],
-                          [0.0, mu.real, -mu.imag],
-                          [0.0, mu.imag, mu.real]])
-        problem = FDEProblem(alpha=alpha, dim=3, u0=np.array([1.0, 1.0, 0.0]), T=T,
-                             rhs=lambda t, u: rates @ u,
-                             jacobian=lambda t, u: rates)
+        problem = block_diagonal_problem(alpha, lam, mu, T)
         config = SolverConfig(h=h, eps_kernel=1e-8)
         traj = solve(problem, config)
         real = mlf_exact_solution(alpha, lam, traj.times).real
@@ -342,13 +358,45 @@ class TestSolve:
         np.testing.assert_allclose(traj.states, mirror.states[:, ::-1], rtol=1e-13)
         assert np.isfinite(traj.states).all()
 
-    @pytest.mark.parametrize("jac, residual", [
-        (((2.0, 0.0), (0.0, 1.0)), [1.0, 1.0]),  # first column zero
-        (((0.0, -2.0), (-2.0, 0.0)), [1.0, 2.0]),  # u11 zero after elimination
+    @pytest.mark.parametrize("newton_matrix", [
+        ((0.0, 0.0), (0.0, 0.5)),  # first column zero
+        ((1.0, 1.0), (1.0, 1.0)),  # u11 zero after elimination
     ], ids=["zero-column", "zero-u11"])
-    def test_two_dimensional_singular_matrix(self, jac, residual):
-        # with c0 = 0.5, I - c0 jac is diag(0, 0.5) and [[1, 1], [1, 1]]
-        assert _newton_correction(0.5, jac, residual) is None
+    def test_two_dimensional_singular_matrix(self, newton_matrix):
+        # the written-out 2 x 2 LU meets the Newton matrix I - c0 jac exactly
+        c0 = 0.1 ** 0.5 / math.gamma(2.5)
+        jac = (np.eye(2) - newton_matrix) / c0
+        np.testing.assert_array_equal(np.eye(2) - c0 * jac, newton_matrix)
+        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
+                             rhs=lambda t, u: jac @ u, jacobian=lambda t, u: jac)
+        with pytest.raises(StepFailureError, match="singular") as failure:
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert failure.value.step_index == 0
+        assert len(failure.value.residuals) == 1
+
+    @pytest.mark.parametrize("problem", [
+        mittag_leffler_problem(0.5, -1.0, 3.0),
+        mittag_leffler_problem(0.8, -1 + 2j, 3.0),
+        van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 3.0),
+        replace(mittag_leffler_problem(0.5, -1.0, 3.0), jacobian=None),
+        replace(mittag_leffler_problem(0.8, -1 + 2j, 3.0), jacobian=None),
+        replace(van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 3.0), jacobian=None),
+        FDEProblem(alpha=0.6, dim=1, u0=np.array([0.5]), T=3.0,
+                   rhs=lambda t, u: [math.sin(t) - u[0] ** 3]),
+    ], ids=["real-rate", "complex-rate", "van-der-pol", "real-rate-fd",
+            "complex-rate-fd", "van-der-pol-fd", "cubic-fd"])
+    def test_list_loop_agrees_with_scalar_loop(self, problem):
+        # solve runs the list loop only from dim 3 on.  At dim 1 and 2 the two
+        # share all but Newton's linear solve, where numpy.linalg.solve may
+        # round otherwise than the written-out LU (it did on 39 % of random
+        # 2 x 2 systems), so they agree to Newton's tolerance, at equal counts
+        config = SolverConfig(h=5e-3, eps_kernel=1e-8)
+        scalar = _solve(problem, config, _march_scalar)
+        lists = _solve(problem, config, _march_lists)
+        np.testing.assert_allclose(lists.states, scalar.states, rtol=0, atol=NEWTON_TOL)
+        np.testing.assert_array_equal(lists.newton_iterations, scalar.newton_iterations)
+        assert (lists.rhs_calls, lists.jacobian_calls) == \
+            (scalar.rhs_calls, scalar.jacobian_calls)
 
     def test_step_size_validation(self):
         with pytest.raises(ValueError):
@@ -399,6 +447,19 @@ class TestCallbacks:
                                 jacobian=lambda t, u: mat), config)
         np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(traj.newton_iterations, reference.newton_iterations)
+
+    @pytest.mark.parametrize("first_call", [True, False], ids=["forcing", "newton-loop"])
+    def test_one_dimensional_rhs_of_wrong_length_raises(self, first_call):
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return [-u[0], 0.0] if first_call or len(calls) > 1 else [-u[0]]
+
+        problem = FDEProblem(alpha=0.5, dim=1, u0=np.ones(1), T=1.0, rhs=rhs)
+        with pytest.raises(ValueError, match="dim = 1 values, got 2"):
+            solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
+        assert len(calls) == 1 + (not first_call)
 
     @pytest.mark.parametrize("values", [1, 3])
     def test_rhs_of_wrong_length_raises(self, values):

@@ -109,7 +109,7 @@ class TestLogGamma:
     def test_reference_values(self, x, expected):
         assert abs(log_gamma(x) - expected) <= 1e-13
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain(self, x):
         with pytest.raises(ValueError):
             log_gamma(x)

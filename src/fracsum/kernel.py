@@ -90,11 +90,11 @@ class ExponentialSum:
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Certificate components and their sum."""
+    """Certificate components, A_J = quadrature_term(J) and
+    B_K = truncation_term(alpha, delta/T, K), and their sum."""
 
     a_j: float
     b_k: float
-    eta: float
     total: float
 
 
@@ -226,8 +226,11 @@ def quadrature_term(J: int) -> float:
 def truncation_term(alpha: float, eta: float, K: int) -> float:
     """Neglected-tail estimator: regularized upper gamma of order 1-alpha at eta 2^K.
 
-    Requires an integer K >= 0; regularized_upper_gamma rejects the rest.
+    Requires alpha in (0, 1) and an integer K >= 0; regularized_upper_gamma
+    rejects the rest.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"order must be in (0, 1), got {alpha}")
     if not _is_count(K, 0):
         raise ValueError(f"interval index K must be an integer >= 0, got {K!r}")
     return regularized_upper_gamma(1.0 - alpha, eta * 2.0 ** K)
@@ -247,10 +250,9 @@ def estimate_error(alpha: float, delta: float, T: float, K: int, J: int) -> Erro
     At J = 1 it is about 2, which is why select_parameters starts at J = 2.
     """
     _validate_compress_args(alpha, delta, T, K, J)
-    eta = float(delta) / float(T)
     a_j = quadrature_term(int(J))
-    b_k = truncation_term(float(alpha), eta, int(K))
-    return ErrorEstimate(a_j=a_j, b_k=b_k, eta=eta, total=a_j + b_k)
+    b_k = truncation_term(float(alpha), float(delta) / float(T), int(K))
+    return ErrorEstimate(a_j=a_j, b_k=b_k, total=a_j + b_k)
 
 
 def select_parameters(alpha: float, delta: float, T: float, eps: float) -> tuple[int, int]:

@@ -25,14 +25,14 @@ def mittag_leffler_problem(alpha: float, lam: complex, T: float) -> FDEProblem:
         lr = lam.real
         jac = ((lr,),)
         return FDEProblem(
-            alpha=alpha, dim=1, u0=np.array([1.0]), T=T,
+            alpha=alpha, u0=np.array([1.0]), T=T,
             rhs=lambda t, u: [lr * u[0]],
             jacobian=lambda t, u: jac,
         )
     lr, li = lam.real, lam.imag
     jac = ((lr, -li), (li, lr))
     return FDEProblem(
-        alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
+        alpha=alpha, u0=np.array([1.0, 0.0]), T=T,
         rhs=lambda t, u: [lr * u[0] - li * u[1], li * u[0] + lr * u[1]],
         jacobian=lambda t, u: jac,
     )
@@ -57,5 +57,5 @@ def van_der_pol_problem(alpha: float, mu: float, x0: float, y0: float,
         return ((0.0, 1.0),
                 (-2.0 * mu * x * y - 1.0, mu * (1.0 - x * x)))
 
-    return FDEProblem(alpha=alpha, dim=2, u0=np.array([float(x0), float(y0)]),
+    return FDEProblem(alpha=alpha, u0=np.array([float(x0), float(y0)]),
                       T=T, rhs=rhs, jacobian=jacobian)

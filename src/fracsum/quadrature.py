@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "gauss_jacobi_rule",
     "optimal_ell",
     "contour_bound",
@@ -70,16 +68,6 @@ def _require_extended_precision(info) -> None:
 
 
 _require_extended_precision(np.finfo(_LD))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An n-point rule exact for polynomials of degree <= 2n-1 against (1+x)^b."""
-
-    n: int
-    b: float
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def _is_count(n, low: float = -math.inf) -> bool:
@@ -164,10 +152,12 @@ def _rule_extended(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
-    """Nodes and weights of the n-point rule for the weight (1+x)^b on [-1, 1].
+def gauss_jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point rule for the weight (1+x)^b on [-1, 1].
 
-    Requires 1 <= n <= 64 and b in (-1, 10].
+    The rule is exact for polynomials of degree <= 2n-1; the float64 arrays
+    are read-only, with the nodes increasing.  Requires 1 <= n <= 64 and b in
+    (-1, 10].
     """
     if not _is_count(n):
         raise ValueError(f"node count must be an integer, got {n!r}")
@@ -186,7 +176,7 @@ def gauss_jacobi_rule(n: int, b: float) -> QuadratureRule:
         raise RuntimeError(f"weight computation failed for (n={n}, b={b})")
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(n=int(n), b=b, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def contour_bound(J: int, ell: float) -> float:

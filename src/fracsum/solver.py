@@ -25,7 +25,7 @@ as a tuple of floats, which they cannot alter, and return plain sequences
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
@@ -68,33 +68,32 @@ class StepFailureError(RuntimeError):
 class FDEProblem:
     """Caputo initial value problem: fractional derivative of u equals rhs(t, u).
 
-    rhs(t, u) and jacobian(t, u) get u as a tuple of dim floats.  rhs returns
-    a sequence of dim reals and jacobian dim rows of dim reals, row i holding
-    the derivatives of rhs component i; an ndarray iterates, so it serves as
+    u0 is a nonempty 1-D sequence of finite reals, and its length is the
+    dimension dim, which the problem sets itself.  rhs(t, u) and
+    jacobian(t, u) get u as a tuple of dim floats.  rhs returns a sequence of
+    dim reals and jacobian dim rows of dim reals, row i holding the
+    derivatives of rhs component i; an ndarray iterates, so it serves as
     well.  Without a jacobian the solver takes forward differences of rhs.
     """
 
     alpha: float
-    dim: int
     u0: np.ndarray
     rhs: Callable[[float, tuple[float, ...]], Sequence[float]]
     T: float
     jacobian: Optional[Callable[[float, tuple[float, ...]],
                                 Sequence[Sequence[float]]]] = None
+    dim: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"order must be in (0, 1), got {self.alpha}")
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if not self.T > 0.0:
             raise ValueError(f"horizon must be positive, got {self.T}")
         u0 = np.asarray(self.u0, dtype=float)
-        if u0.shape != (self.dim,):
-            raise ValueError(f"initial state must have shape ({self.dim},), got {u0.shape}")
-        if not np.all(np.isfinite(u0)):
-            raise ValueError(f"initial state u0 must be finite, got {u0}")
+        if not (u0.ndim == 1 and u0.size > 0 and np.all(np.isfinite(u0))):
+            raise ValueError(f"initial state u0 must be finite, nonempty and 1-D, got {u0}")
         object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "dim", len(u0))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,25 @@
+import dataclasses
+import inspect
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracsum
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "ErrorEstimate",
     "ExponentialSum",
     "FDEProblem",
     "InfeasibleToleranceError",
-    "QuadratureRule",
     "SolverConfig",
     "StepFailureError",
-    "TailQuery",
     "Trajectory",
     "compress",
     "contour_bound",
@@ -52,9 +58,64 @@ def test_public_api_is_pinned():
         assert getattr(fracsum, name) is getattr(owner, name)
 
 
+def test_records_hold_each_input_once():
+    # the dimension is the length of u0, and delta/T is the caller's own
+    init = [f.name for f in dataclasses.fields(fracsum.FDEProblem) if f.init]
+    assert init == ["alpha", "u0", "rhs", "T", "jacobian"]
+    fields = [f.name for f in dataclasses.fields(fracsum.ErrorEstimate)]
+    assert fields == ["a_j", "b_k", "total"]
+
+
+# Every public callable whose first argument is an order, called with a valid
+# remainder.  The Mittag-Leffler function and the exact solution built on it
+# take alpha = 1 too, where E_1 is exp.
+ORDER_CALLS = {
+    "FDEProblem": lambda a: fracsum.FDEProblem(alpha=a, u0=[1.0], T=1.0,
+                                               rhs=lambda t, u: u),
+    "compress": lambda a: fracsum.compress(a, 1e-3, 1.0, 4, 3),
+    "estimate_error": lambda a: fracsum.estimate_error(a, 1e-3, 1.0, 4, 3),
+    "kernel_direct": lambda a: fracsum.kernel_direct(a, 2.0),
+    "mittag_leffler": lambda a: fracsum.mittag_leffler(a, -1.0),
+    "mittag_leffler_problem": lambda a: fracsum.mittag_leffler_problem(a, -1.0, 1.0),
+    "mlf_exact_solution": lambda a: fracsum.mlf_exact_solution(a, -1.0, 1.0),
+    "select_parameters": lambda a: fracsum.select_parameters(a, 1e-3, 1.0, 1e-6),
+    "tail_W2": lambda a: fracsum.tail_W2(a, 1.0, 2.0),
+    "truncated_integral_W1": lambda a: fracsum.truncated_integral_W1(a, 10.0, 3, 2.0),
+    "truncation_term": lambda a: fracsum.truncation_term(a, 1e-3, 4),
+    "van_der_pol_problem": lambda a: fracsum.van_der_pol_problem(a, 1.0, 2.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CALLS))
+def test_order_outside_its_domain_raises(name):
+    call = ORDER_CALLS[name]
+    call(0.5)
+    bad = [math.nan, 0.0, 1.0, -0.5, math.inf]
+    if name in ("mittag_leffler", "mlf_exact_solution"):
+        bad.remove(1.0)
+        call(1.0)
+    for alpha in bad:
+        with pytest.raises(ValueError):
+            call(alpha)
+
+
+def test_order_table_lists_every_function_taking_an_order():
+    takes_order = {name for name in fracsum.__all__
+                   if inspect.isfunction(getattr(fracsum, name))
+                   and next(iter(inspect.signature(getattr(fracsum, name)).parameters)) == "alpha"}
+    assert takes_order | {"FDEProblem"} == set(ORDER_CALLS)
+
+
+def test_readme_code_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_version_is_declared_once():
     # pyproject.toml reads the version from the package instead of repeating it
-    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     assert 'dynamic = ["version"]' in text
     assert 'version = {attr = "fracsum.__version__"}' in text
     assert fracsum.__version__ not in text
@@ -74,7 +135,7 @@ assert not heavy, heavy
 sys.modules["mpmath"] = None
 S = fracsum.compress(0.4172635091, 1e-3, 10.0, 18, 5)
 assert 0.0 < fracsum.relative_error_scan(S)[0] < 1e-3
-assert fracsum.gauss_jacobi_rule(5, -0.3).n == 5
+assert len(fracsum.gauss_jacobi_rule(5, -0.3)[0]) == 5
 traj = fracsum.solve(fracsum.mittag_leffler_problem(0.5, -1.0, 0.1), fracsum.SolverConfig(h=0.01))
 assert len(traj.times) == 11
 value = fracsum.truncated_integral_W1(0.5, 10.0, 3, 2.0)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from fracsum.kernel import compress, quadrature_term
 from fracsum.oracle import (
-    TailQuery,
+    OracleQuadratureError,
     conv_const_exact,
     kernel_direct,
     mlf_exact_solution,
@@ -79,14 +80,14 @@ class TestTail:
     def test_zero_limit_is_full_kernel(self):
         for alpha in (0.2, 0.5, 0.8):
             for t in (1.0, 3.0):
-                got = tail_W2(TailQuery(alpha, 0.0, t))
+                got = tail_W2(alpha, 0.0, t)
                 assert got == pytest.approx(kernel_direct(alpha, t), rel=1e-9)
 
     def test_reference_values(self):
         # 60-digit adaptive quadrature of the defining integrals
-        assert tail_W2(TailQuery(0.5, 1.0, 1.0)) == pytest.approx(
+        assert tail_W2(0.5, 1.0, 1.0) == pytest.approx(
             0.088746574118092657491, rel=1e-10)
-        assert tail_W2(TailQuery(0.2, 1.0, 2.0)) == pytest.approx(
+        assert tail_W2(0.2, 1.0, 2.0) == pytest.approx(
             0.011796390126125670705, rel=1e-10)
 
     @pytest.mark.parametrize("a", [1e-9, 1e-6])
@@ -95,10 +96,10 @@ class TestTail:
     def test_lower_limit_near_zero(self, alpha, a, t):
         # the tail has the closed form Q(1-alpha, a t) t^(alpha-1)/Gamma(alpha)
         exact = regularized_upper_gamma(1.0 - alpha, a * t) * kernel_direct(alpha, t)
-        assert tail_W2(TailQuery(alpha, a, t)) == pytest.approx(exact, rel=1e-10)
+        assert tail_W2(alpha, a, t) == pytest.approx(exact, rel=1e-10)
 
     def test_monotone_vanishing_in_lower_limit(self):
-        vals = [tail_W2(TailQuery(0.5, a, 1.5)) for a in (0.0, 0.5, 1.0, 4.0, 20.0)]
+        vals = [tail_W2(0.5, a, 1.5) for a in (0.0, 0.5, 1.0, 4.0, 20.0)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 1e-12 * vals[0]
 
@@ -109,7 +110,7 @@ class TestTail:
         # central inequality: the tail never exceeds the regularized-gamma
         # multiple of the kernel, with equality only at t=1
         bound = regularized_upper_gamma(1.0 - alpha, a) * kernel_direct(alpha, t)
-        got = tail_W2(TailQuery(alpha, a, t))
+        got = tail_W2(alpha, a, t)
         assert got <= bound * (1.0 + 1e-9)
         if t > 1.0:
             assert got < bound
@@ -120,7 +121,7 @@ class TestTail:
                 for t in (1.0, 3.7):
                     T_scaled = 1e3
                     total = truncated_integral_W1(alpha, T_scaled, K, t) \
-                        + tail_W2(TailQuery(alpha, 2.0 ** K / T_scaled, t))
+                        + tail_W2(alpha, 2.0 ** K / T_scaled, t)
                     assert total == pytest.approx(kernel_direct(alpha, t), rel=1e-9)
 
     def test_scheme_vs_oracle(self):
@@ -134,15 +135,24 @@ class TestTail:
             approx = math.fsum(S.b * np.exp(-S.a * (t - 1.0)))
             assert abs(w1 - approx) <= budget * kernel_direct(alpha, t)
 
+    def test_missed_tolerance_raises(self):
+        # so close to alpha = 1 the substituted integrand is nearly a step,
+        # whose quadrature error estimate stays above the 1e-10 asked for
+        with pytest.warns(IntegrationWarning), \
+                pytest.raises(OracleQuadratureError, match="missed tolerance"):
+            tail_W2(1.0 - 1e-9, 0.5, 1.0)
+
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            TailQuery(0.5, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            TailQuery(0.5, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            TailQuery(0.5, math.nan, 2.0)
-        with pytest.raises(ValueError):
-            TailQuery(1.5, 1.0, 2.0)
+        with pytest.raises(ValueError, match="lower limit"):
+            tail_W2(0.5, -1.0, 2.0)
+        with pytest.raises(ValueError, match="evaluation time"):
+            tail_W2(0.5, 1.0, 0.5)
+        with pytest.raises(ValueError, match="evaluation time"):
+            tail_W2(0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="lower limit"):
+            tail_W2(0.5, math.nan, 2.0)
+        with pytest.raises(ValueError, match="order"):
+            tail_W2(1.5, 1.0, 2.0)
 
 
 class TestConvolutionWithConstant:

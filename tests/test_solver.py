@@ -25,7 +25,7 @@ from fracsum.solver import (
 
 
 def constant_problem(alpha=0.5, dim=1, T=1.0):
-    return FDEProblem(alpha=alpha, dim=dim, u0=np.ones(dim), T=T,
+    return FDEProblem(alpha=alpha, u0=np.ones(dim), T=T,
                       rhs=lambda t, u: np.zeros(dim))
 
 
@@ -34,7 +34,7 @@ def block_diagonal_problem(alpha, lam, mu, T):
     rates = np.array([[lam, 0.0, 0.0],
                       [0.0, mu.real, -mu.imag],
                       [0.0, mu.imag, mu.real]])
-    return FDEProblem(alpha=alpha, dim=3, u0=np.array([1.0, 1.0, 0.0]), T=T,
+    return FDEProblem(alpha=alpha, u0=np.array([1.0, 1.0, 0.0]), T=T,
                       rhs=lambda t, u: rates @ u,
                       jacobian=lambda t, u: rates)
 
@@ -216,7 +216,7 @@ class TestSolve:
         assert np.count_nonzero(np.diff(np.sign(late))) >= 6
 
     def test_finite_difference_jacobian_fallback(self):
-        problem = FDEProblem(alpha=0.6, dim=1, u0=np.array([0.5]), T=0.5,
+        problem = FDEProblem(alpha=0.6, u0=np.array([0.5]), T=0.5,
                              rhs=lambda t, u: [-u[0] ** 3])
         traj = solve(problem, SolverConfig(h=1e-2, eps_kernel=1e-6))
         assert np.isfinite(traj.states).all()
@@ -226,7 +226,7 @@ class TestSolve:
         # a zero Jacobian for the rhs -2u/c0 makes each Newton correction
         # double the residual, so the iteration never converges
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
-        problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.array([1.0]), T=1.0,
                              rhs=lambda t, u: [-2.0 * u[0] / c0],
                              jacobian=lambda t, u: ((0.0,),))
         with pytest.raises(StepFailureError, match="did not reach") as failure:
@@ -237,7 +237,7 @@ class TestSolve:
     def test_singular_newton_matrix_reports_index(self):
         # rhs u/c0 makes the Newton matrix 1 - c0 * (1/c0) exactly zero
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
-        problem = FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.array([1.0]), T=1.0,
                              rhs=lambda t, u: [u[0] / c0],
                              jacobian=lambda t, u: ((1.0 / c0,),))
         with pytest.raises(StepFailureError, match="singular") as failure:
@@ -249,7 +249,7 @@ class TestSolve:
         # the third diagonal entry of I - c0 diag(-1, -2, 1/c0) is exactly zero
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
         rates = np.diag([-1.0, -2.0, 1.0 / c0])
-        problem = FDEProblem(alpha=0.5, dim=3, u0=np.ones(3), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.ones(3), T=1.0,
                              rhs=lambda t, u: rates @ u,
                              jacobian=lambda t, u: rates)
         with pytest.raises(StepFailureError, match="singular") as failure:
@@ -257,11 +257,12 @@ class TestSolve:
         assert failure.value.step_index == 0
         assert len(failure.value.residuals) == 1
 
-    @pytest.mark.parametrize("values", [np.array([0.0, np.nan]), [np.nan], [np.nan, 0.0]],
-                             ids=["second-of-two", "dim-1", "first-of-two"])
+    @pytest.mark.parametrize("values", [np.array([0.0, np.nan]), [np.nan], [np.nan, 0.0],
+                                        [0.0, 0.0, np.nan]],
+                             ids=["second-of-two", "dim-1", "first-of-two", "third-of-three"])
     def test_nan_residual_never_converges(self, values):
         # a NaN in any component must fail the step, not pass the norm test
-        problem = FDEProblem(alpha=0.5, dim=len(values), u0=np.ones(len(values)),
+        problem = FDEProblem(alpha=0.5, u0=np.ones(len(values)),
                              T=1.0, rhs=lambda t, u: values)
         with pytest.raises(StepFailureError, match="did not reach") as failure:
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
@@ -283,7 +284,7 @@ class TestSolve:
         config = SolverConfig(h=1e-2, eps_kernel=1e-8)
         for jac in (jacobian, None):
             calls.update(rhs=0, jacobian=0)
-            problem = FDEProblem(alpha=0.8, dim=2, u0=base.u0, T=1.0,
+            problem = FDEProblem(alpha=0.8, u0=base.u0, T=1.0,
                                  rhs=rhs, jacobian=jac)
             traj = solve(problem, config)
             assert traj.rhs_calls == calls["rhs"]
@@ -345,7 +346,7 @@ class TestSolve:
         config = SolverConfig(h=h, eps_kernel=1e-6)
 
         def linear(matrix, u0):
-            return FDEProblem(alpha=alpha, dim=2, u0=np.array(u0), T=1.0,
+            return FDEProblem(alpha=alpha, u0=np.array(u0), T=1.0,
                               rhs=lambda t, u: matrix @ u,
                               jacobian=lambda t, u: matrix)
 
@@ -367,7 +368,7 @@ class TestSolve:
         c0 = 0.1 ** 0.5 / math.gamma(2.5)
         jac = (np.eye(2) - newton_matrix) / c0
         np.testing.assert_array_equal(np.eye(2) - c0 * jac, newton_matrix)
-        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.ones(2), T=1.0,
                              rhs=lambda t, u: jac @ u, jacobian=lambda t, u: jac)
         with pytest.raises(StepFailureError, match="singular") as failure:
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
@@ -381,7 +382,7 @@ class TestSolve:
         replace(mittag_leffler_problem(0.5, -1.0, 3.0), jacobian=None),
         replace(mittag_leffler_problem(0.8, -1 + 2j, 3.0), jacobian=None),
         replace(van_der_pol_problem(0.85, 4.0, 2.0, 0.0, 3.0), jacobian=None),
-        FDEProblem(alpha=0.6, dim=1, u0=np.array([0.5]), T=3.0,
+        FDEProblem(alpha=0.6, u0=np.array([0.5]), T=3.0,
                    rhs=lambda t, u: [math.sin(t) - u[0] ** 3]),
     ], ids=["real-rate", "complex-rate", "van-der-pol", "real-rate-fd",
             "complex-rate-fd", "van-der-pol-fd", "cubic-fd"])
@@ -434,7 +435,7 @@ class TestCallbacks:
                 (lambda t, u: np.array(products(t, u)), lambda t, u: mat)]
         reference = solve(mittag_leffler_problem(alpha, complex(lr, li), T), config)
         for rhs, jacobian in ways:
-            traj = solve(FDEProblem(alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
+            traj = solve(FDEProblem(alpha=alpha, u0=np.array([1.0, 0.0]), T=T,
                                     rhs=rhs, jacobian=jacobian), config)
             np.testing.assert_array_equal(traj.states, reference.states)
             np.testing.assert_array_equal(traj.newton_iterations,
@@ -442,7 +443,7 @@ class TestCallbacks:
             assert (traj.rhs_calls, traj.jacobian_calls) == \
                 (reference.rhs_calls, reference.jacobian_calls)
         # numpy's matmul may fuse a multiply-add, so mat @ u agrees to rounding
-        traj = solve(FDEProblem(alpha=alpha, dim=2, u0=np.array([1.0, 0.0]), T=T,
+        traj = solve(FDEProblem(alpha=alpha, u0=np.array([1.0, 0.0]), T=T,
                                 rhs=lambda t, u: mat @ u,
                                 jacobian=lambda t, u: mat), config)
         np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=1e-14)
@@ -456,7 +457,7 @@ class TestCallbacks:
             calls.append(t)
             return [-u[0], 0.0] if first_call or len(calls) > 1 else [-u[0]]
 
-        problem = FDEProblem(alpha=0.5, dim=1, u0=np.ones(1), T=1.0, rhs=rhs)
+        problem = FDEProblem(alpha=0.5, u0=np.ones(1), T=1.0, rhs=rhs)
         with pytest.raises(ValueError, match="dim = 1 values, got 2"):
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert len(calls) == 1 + (not first_call)
@@ -464,28 +465,31 @@ class TestCallbacks:
     @pytest.mark.parametrize("values", [1, 3])
     def test_rhs_of_wrong_length_raises(self, values):
         # zip would drop a third value, and a single one would stand for both
-        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.ones(2), T=1.0,
                              rhs=lambda t, u: [-u[0]] * values,
                              jacobian=lambda t, u: ((-1.0, 0.0), (0.0, -1.0)))
         with pytest.raises(ValueError, match=f"dim = 2 values, got {values}"):
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
 
-    @pytest.mark.parametrize("jacobian", [
-        lambda t, u: ((-1.0, 0.0), (0.0, -1.0)),
-        None,
-    ], ids=["newton-loop", "finite-differences"])
-    def test_rhs_changing_length_raises(self, jacobian):
-        # the first two calls (step 0's forcing and Newton residual) give two
-        # values; the next, a Newton residual or a difference quotient, three
+    @pytest.mark.parametrize("dim, jacobian", [
+        (2, lambda t, u: ((-1.0, 0.0), (0.0, -1.0))),
+        (2, None),
+        (3, lambda t, u: -np.eye(3)),
+        (3, None),
+    ], ids=["newton-loop", "finite-differences", "newton-loop-dim-3",
+            "finite-differences-dim-3"])
+    def test_rhs_changing_length_raises(self, dim, jacobian):
+        # the first two calls (step 0's forcing and Newton residual) give dim
+        # values; the next, a Newton residual or a difference quotient, one more
         calls = []
 
         def rhs(t, u):
             calls.append(t)
             return [-v for v in u] + [0.0] * (len(calls) > 2)
 
-        problem = FDEProblem(alpha=0.5, dim=2, u0=np.ones(2), T=1.0, rhs=rhs,
+        problem = FDEProblem(alpha=0.5, u0=np.ones(dim), T=1.0, rhs=rhs,
                              jacobian=jacobian)
-        with pytest.raises(ValueError, match="dim = 2 values, got 3"):
+        with pytest.raises(ValueError, match=f"dim = {dim} values, got {dim + 1}"):
             solve(problem, SolverConfig(h=0.1, eps_kernel=1e-6))
         assert len(calls) == 3
 
@@ -496,7 +500,7 @@ class TestCallbacks:
         (3, (-1.0, -1.0, -1.0)),
     ])
     def test_jacobian_of_wrong_shape_raises(self, dim, rows):
-        problem = FDEProblem(alpha=0.5, dim=dim, u0=np.ones(dim), T=1.0,
+        problem = FDEProblem(alpha=0.5, u0=np.ones(dim), T=1.0,
                              rhs=lambda t, u: [-v for v in u],
                              jacobian=lambda t, u: rows)
         with pytest.raises(ValueError):
@@ -519,17 +523,25 @@ class TestCallbacks:
 class TestValidation:
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            FDEProblem(alpha=1.5, dim=1, u0=np.array([1.0]), T=1.0, rhs=lambda t, u: u)
+            FDEProblem(alpha=1.5, u0=np.array([1.0]), T=1.0, rhs=lambda t, u: u)
+        for u0 in ([], np.ones((1, 1)), np.ones((2, 2)), 1.0):
+            with pytest.raises(ValueError, match="nonempty and 1-D"):
+                FDEProblem(alpha=0.5, u0=u0, T=1.0, rhs=lambda t, u: u)
         with pytest.raises(ValueError):
-            FDEProblem(alpha=0.5, dim=0, u0=np.array([]), T=1.0, rhs=lambda t, u: u)
-        with pytest.raises(ValueError):
-            FDEProblem(alpha=0.5, dim=2, u0=np.array([1.0]), T=1.0, rhs=lambda t, u: u)
-        with pytest.raises(ValueError):
-            FDEProblem(alpha=0.5, dim=1, u0=np.array([1.0]), T=-1.0, rhs=lambda t, u: u)
+            FDEProblem(alpha=0.5, u0=np.array([1.0]), T=-1.0, rhs=lambda t, u: u)
         with pytest.raises(ValueError, match="u0 must be finite"):
-            FDEProblem(alpha=0.5, dim=1, u0=np.array([math.nan]), T=1.0, rhs=lambda t, u: u)
+            FDEProblem(alpha=0.5, u0=np.array([math.nan]), T=1.0, rhs=lambda t, u: u)
         with pytest.raises(ValueError, match="rate lam must be finite"):
             mittag_leffler_problem(0.5, math.nan, 1.0)
+
+    def test_dimension_is_that_of_u0(self):
+        problem = FDEProblem(alpha=0.5, u0=[1.0, 2.0, 3.0], T=1.0, rhs=lambda t, u: u)
+        assert problem.dim == 3
+        # the copy the benchmark's tracer makes sets its dimension again
+        shorter = replace(problem, u0=[4.0], rhs=lambda t, u: [-u[0]])
+        assert shorter.dim == 1 and shorter.u0.tolist() == [4.0]
+        with pytest.raises(TypeError):
+            FDEProblem(alpha=0.5, dim=1, u0=[1.0], T=1.0, rhs=lambda t, u: u)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
